@@ -2,7 +2,7 @@
 
 Subcommands: tables, quantize, select, simulate, verify.  All commands are
 deterministic; every JSON artifact embeds a run manifest (command line,
-tool version, input digests, seed).
+tool version, input digests).
 
 Exit codes:
   0  success
@@ -52,13 +52,12 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str], seed: int | None = None) -> dict:
+def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     return {
         "command": args.command,
         "argv": sys.argv[1:],
         "version": __version__,
         "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
-        "seed": seed,
     }
 
 
@@ -158,7 +157,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
     inputs = [args.model] + [l.weight_path for l in graph]
     doc = plan.to_json()
-    doc["manifest"] = _manifest(args, inputs, seed=args.seed)
+    doc["manifest"] = _manifest(args, inputs)
     tensor_io.save_plan(args.out, doc)
     if args.mse_csv:
         _write_mse_csv(args.mse_csv, plan)
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=float("inf"),
                    help="aggregate normalized-MSE target for promotion")
     p.add_argument("--promote-budget", type=int, help="max layers promoted to 8-bit")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="plan JSON path")
     p.add_argument("--mse-csv", help="per-tensor candidate MSE CSV")
     p.set_defaults(func=cmd_select)

@@ -17,7 +17,8 @@ Code layouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +59,24 @@ class NumericType:
         return base
 
     def grid(self) -> np.ndarray:
-        """All representable values at unit scale, strictly increasing."""
-        return np.unique(self.code_values())
+        """All representable values at unit scale, strictly increasing (read-only)."""
+        return _grid(self)
 
     def code_values(self) -> np.ndarray:
-        """Decoded value of every code word, indexed by code (length 2**width)."""
-        return _CODE_VALUE_FNS[self.kind](self)
+        """Decoded value of every code word, indexed by code (length 2**width, read-only)."""
+        return _code_values(self)
+
+    def thresholds(self) -> np.ndarray:
+        """Unit-scale decision thresholds of the quantizer (read-only).
+
+        ``thresholds()[k]`` is the least float64 ``u`` that quantizes above
+        ``grid()[k]``, so ``grid()[searchsorted(thresholds(), u, "right")]``
+        is the quantized value of ``u = v / scale``.
+        """
+        return _thresholds(self)
 
     def max_value(self) -> float:
-        return float(self.grid()[-1])
+        return float(_grid(self)[-1])
 
 
 def default_float_split(width: int, signed: bool) -> tuple[int, int]:
@@ -218,7 +228,7 @@ def _quant_flint(v: np.ndarray, t: NumericType) -> np.ndarray:
 
 def _quant_grid_nearest(v: np.ndarray, t: NumericType) -> np.ndarray:
     """Round to the nearest representable value; ties away from zero."""
-    values = t.code_values()
+    values = _code_values(t)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     idx = np.searchsorted(sorted_vals, v)
@@ -242,6 +252,53 @@ _QUANT_FNS = {
     "flint": _quant_flint,
     "float": _quant_float,
 }
+
+
+# ---------------------------------------------------------------------------
+# Cached per-type tables (NumericType is frozen, so it keys the caches)
+# ---------------------------------------------------------------------------
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _code_values(t: NumericType) -> np.ndarray:
+    return _read_only(_CODE_VALUE_FNS[t.kind](t))
+
+
+@functools.cache
+def _grid(t: NumericType) -> np.ndarray:
+    return _read_only(np.unique(_code_values(t)))
+
+
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
+def _float_key(x: np.ndarray) -> np.ndarray:
+    """Map float64 to int64 so that the order of keys is the order of values."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, -(bits & ~_SIGN_BIT), bits)
+
+
+def _key_float(k: np.ndarray) -> np.ndarray:
+    return np.where(k < 0, -k | _SIGN_BIT, k).view(np.float64)
+
+
+@functools.cache
+def _thresholds(t: NumericType) -> np.ndarray:
+    """Bisect, over the float64 values between each pair of neighbouring grid
+    values, for the first one the kind's own quantizer maps above the lower
+    neighbour; every rounding rule keeps its single definition there."""
+    values, grid, quant = _code_values(t), _grid(t), _QUANT_FNS[t.kind]
+    lo, hi = _float_key(grid[:-1]), _float_key(grid[1:])
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        above = values[quant(_key_float(mid), t)] > grid[:-1]
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return _read_only(_key_float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +335,7 @@ def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
 
 
 def dequantize(q: QTensor) -> np.ndarray:
-    lut = q.scheme.ntype.code_values()
+    lut = _code_values(q.scheme.ntype)
     out = lut[q.codes].reshape(q.shape)
     for sel, ci in _iter_slices(q.shape, q.scheme.axis):
         out[sel] *= q.scheme.scales[ci]

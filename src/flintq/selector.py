@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qtypes import INT8, NumericType, QuantScheme, QuantizationError, fake_quantize, mse, quantize, dequantize
+from .qtypes import INT8, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
 
 DEFAULT_SWEEP_STEPS = 100
 DEFAULT_MIN_CLIP_RATIO = 0.2
@@ -58,24 +58,92 @@ def ntype_from_json(d: dict) -> NumericType:
     return NumericType(d["kind"], d["width"], d["signed"], tuple(split) if split else None)
 
 
+def _exact_cuts(xs: np.ndarray, thresholds: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """``#{x in xs : x / scale < threshold}`` for every scale (rows) and
+    threshold (columns), with ``xs`` sorted.
+
+    ``quantize`` compares ``x / scale`` with the unit-scale thresholds, but
+    ``searchsorted`` needs ``threshold * scale``, which may be an ulp off.
+    Each cut is then moved over whole runs of equal values until the
+    division agrees on both sides of it.
+    """
+    n = xs.size
+    thr = np.broadcast_to(thresholds, (scales.size, thresholds.size))
+    s = np.broadcast_to(scales[:, None], thr.shape)
+    cuts = np.searchsorted(xs, thr * s)
+    while True:
+        below = xs[np.maximum(cuts - 1, 0)]
+        above = xs[np.minimum(cuts, n - 1)]
+        down = (cuts > 0) & (below / s >= thr)
+        up = (cuts < n) & (above / s < thr)
+        if not (down.any() or up.any()):
+            return cuts
+        cuts[down] = np.searchsorted(xs, below[down], side="left")
+        cuts[up] = np.searchsorted(xs, above[up], side="right")
+
+
+def _sweep_scores(
+    v: np.ndarray, ntype: NumericType, scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantization MSE of ``v`` at every scale from one sort, and a bound
+    on how far each figure may lie from ``mse(fake_quantize(...))``.
+
+    With ``v`` sorted and prefix sums P1, P2 of v and v**2, the grid cell
+    that dequantizes to ``d`` and holds ``m`` values adds
+    ``P2 - 2 d P1 + m d**2`` to the squared error.  The bound covers the
+    rounding of both figures: with u the unit roundoff, n = len(v), G grid
+    cells and D the largest |d|, they differ by at most
+    ``(6n + G + 12) u M / n`` with M = sum v**2 + 2 D sum|v| + n D**2
+    (sequential-summation error bounds); the bound returned is over twice
+    that.
+    """
+    xs = np.sort(v)
+    n = xs.size
+    p1, p2 = np.zeros(n + 1), np.zeros(n + 1)
+    np.cumsum(xs, out=p1[1:])
+    np.cumsum(np.square(xs), out=p2[1:])
+    grid = ntype.grid()
+    edges = np.empty((scales.size, grid.size + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = 0, n
+    edges[:, 1:-1] = _exact_cuts(xs, ntype.thresholds(), scales)
+    d = grid[None, :] * scales[:, None]  # as dequantize computes it
+    s1, s2 = np.diff(p1[edges], axis=1), np.diff(p2[edges], axis=1)
+    est = (s2 - 2.0 * d * s1 + np.diff(edges, axis=1) * d * d).sum(axis=1) / n
+    d_max = float(np.max(np.abs(grid))) * scales
+    m_total = p2[-1] + 2.0 * d_max * float(np.abs(xs).sum()) + n * d_max * d_max
+    bound = np.finfo(np.float64).eps * (8 * n + 2 * grid.size + 32) * m_total / n
+    return est, bound
+
+
 def _best_scale_1d(
     v: np.ndarray,
     ntype: NumericType,
     steps: int,
     min_ratio: float,
 ) -> tuple[float, float, bool]:
-    """Sweep clip ratios on one slice; returns (scale, mse, degenerate)."""
+    """Sweep clip ratios on one slice; returns (scale, mse, degenerate).
+
+    Every step is scored from prefix sums; the steps that may hold the
+    minimum within the rounding bound are re-scored exactly, so the result
+    is that of a plain quantize/dequantize/mse sweep.
+    """
     max_abs = float(np.max(np.abs(v))) if v.size else 0.0
+    if not np.isfinite(max_abs):
+        raise QuantizationError("input tensor contains non-finite values")
     if max_abs == 0.0:
         return 1.0, 0.0, True
     max_rep = ntype.max_value()
+    scales = np.array([
+        max_abs * j / steps / max_rep for j in range(int(round(steps * min_ratio)), steps + 1)
+    ])
+    est, bound = _sweep_scores(v, ntype, scales)
+    # A NaN score (overflow) compares False, so its step is re-scored too.
+    maybe_best = ~(est - bound > np.min(est + bound))
     best_scale, best_mse = None, np.inf
-    for j in range(int(round(steps * min_ratio)), steps + 1):
-        clip = max_abs * j / steps
-        scale = clip / max_rep
+    for scale in scales[maybe_best]:
         err = mse(fake_quantize(v, QuantScheme(ntype, np.array([scale]))), v)
         if err < best_mse:  # ties keep the earlier (smaller) scale
-            best_mse, best_scale = err, scale
+            best_mse, best_scale = err, float(scale)
     return best_scale, best_mse, False
 
 
@@ -254,22 +322,17 @@ def plan_mixed_precision(
     layer at 8 bits the loop always terminates.
     """
     candidates = list(candidates) if candidates is not None else make_candidates()
-    low, high = {}, {}
+    select4 = lambda l: _select_layer(l, candidates, 4, steps, min_ratio)  # noqa: E731
     if workers and workers > 1 and len(layers) > 1:
         # Per-layer selection is independent; results are keyed by layer id,
         # so the outcome does not depend on the worker count.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            lows = pool.map(lambda l: _select_layer(l, candidates, 4, steps, min_ratio), layers)
-            highs = pool.map(lambda l: _select_layer(l, candidates, 8, steps, min_ratio), layers)
-            for layer, lo_r, hi_r in zip(layers, list(lows), list(highs)):
-                low[layer.layer_id] = lo_r
-                high[layer.layer_id] = hi_r
+            low = dict(zip((l.layer_id for l in layers), pool.map(select4, layers)))
     else:
-        for layer in layers:
-            low[layer.layer_id] = _select_layer(layer, candidates, 4, steps, min_ratio)
-            high[layer.layer_id] = _select_layer(layer, candidates, 8, steps, min_ratio)
+        low = {l.layer_id: select4(l) for l in layers}
+    high = {}  # 8-bit selections, made only for the layers the loop promotes
 
     promoted: list[str] = []
 
@@ -277,18 +340,14 @@ def plan_mixed_precision(
         entries = []
         total = 0.0
         for layer in layers:
-            w, a, nmse = low[layer.layer_id]
-            width = 4
+            w4, a4, nmse4 = low[layer.layer_id]
             if layer.layer_id in promoted:
-                w, a, nmse8 = high[layer.layer_id]
-                width = 8
-                total += nmse8
+                (w, a, nmse), width = high[layer.layer_id], 8
             else:
-                total += nmse
-            w4, a4, _ = low[layer.layer_id]
+                w, a, nmse, width = w4, a4, nmse4, 4
+            total += nmse
             entries.append(
-                LayerPlan(layer.layer_id, width, w, a, low[layer.layer_id][2],
-                          weight_4bit=w4, activation_4bit=a4)
+                LayerPlan(layer.layer_id, width, w, a, nmse4, weight_4bit=w4, activation_4bit=a4)
             )
         return PrecisionPlan(entries, total, list(promoted))
 
@@ -296,10 +355,11 @@ def plan_mixed_precision(
     plan = build()
     limit = len(layers) if max_promotions is None else min(max_promotions, len(layers))
     while quality(plan) > threshold and len(promoted) < limit:
-        remaining = [l.layer_id for l in layers if l.layer_id not in promoted]
+        remaining = [l for l in layers if l.layer_id not in promoted]
         if not remaining:
             break
-        worst = max(remaining, key=lambda lid: low[lid][2])
-        promoted.append(worst)
+        worst = max(remaining, key=lambda l: low[l.layer_id][2])
+        high[worst.layer_id] = _select_layer(worst, candidates, 8, steps, min_ratio)
+        promoted.append(worst.layer_id)
         plan = build()
     return plan

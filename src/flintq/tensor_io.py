@@ -27,14 +27,25 @@ class TensorIOError(ValueError):
     pass
 
 
-def _read_header(f, path: str) -> dict:
+def _require(doc, keys: tuple[str, ...], where: str) -> dict:
+    """Return ``doc`` if it is a JSON object holding every key in ``keys``."""
+    if not isinstance(doc, dict):
+        raise TensorIOError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise TensorIOError(f"{where}: missing required key(s) {', '.join(missing)}")
+    return doc
+
+
+def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
     line = f.readline()
     if not line.endswith(b"\n"):
         raise TensorIOError(f"{path}: missing or unterminated header line")
     try:
-        return json.loads(line.decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TensorIOError(f"{path}: malformed JSON header: {exc}") from exc
+    return _require(header, keys, f"{path}: header")
 
 
 def save_tensor(path: str, t: np.ndarray, name: str = "") -> None:
@@ -47,7 +58,7 @@ def save_tensor(path: str, t: np.ndarray, name: str = "") -> None:
 
 def load_tensor(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        header = _read_header(f, path)
+        header = _read_header(f, path, ("shape",))
         payload = f.read()
     if header.get("dtype") != "f32":
         raise TensorIOError(f"{path}: unsupported dtype {header.get('dtype')!r}")
@@ -78,8 +89,9 @@ def save_qtensor(path: str, q: QTensor) -> None:
 
 def load_qtensor(path: str) -> QTensor:
     with open(path, "rb") as f:
-        header = _read_header(f, path)
+        header = _read_header(f, path, ("shape", "ntype", "scales"))
         payload = f.read()
+    _require(header["ntype"], ("kind", "width", "signed"), f"{path}: ntype")
     shape = tuple(header["shape"])
     expected = int(np.prod(shape, dtype=np.int64))
     if len(payload) != expected:
@@ -135,11 +147,13 @@ def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
 
 
 def _layer_from_json(d: dict, base_dir: str) -> GraphLayer:
+    lid = _require(d, ("layerId",), "model layer")["layerId"]
     kind = d.get("kind", "gemm")
-    lid = d["layerId"]
     if kind == "gemm":
+        _require(d, ("M", "N", "K"), lid)
         m, n, k = int(d["M"]), int(d["N"]), int(d["K"])
     elif kind == "conv":
+        _require(d, ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw"), lid)
         dims = ConvDims(
             batch=int(d["N_batch"]), in_channels=int(d["C"]), height=int(d["H"]),
             width=int(d["W"]), out_channels=int(d["Cout"]), kh=int(d["Kh"]),
@@ -161,7 +175,7 @@ def _layer_from_json(d: dict, base_dir: str) -> GraphLayer:
 def load_model_graph(path: str) -> list[GraphLayer]:
     with open(path) as f:
         doc = json.load(f)
-    layers_doc = doc["layers"] if isinstance(doc, dict) else doc
+    layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
     base = os.path.dirname(os.path.abspath(path))
     layers = [_layer_from_json(d, base) for d in layers_doc]
     seen = set()
@@ -183,4 +197,7 @@ def save_plan(path: str, plan_json: dict) -> None:
 
 def load_plan(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        doc = _require(json.load(f), ("layers",), path)
+    for layer in doc["layers"]:
+        _require(layer, ("layerId", "width"), f"{path}: plan layer")
+    return doc

@@ -245,6 +245,34 @@ def test_simulate_bad_config_exits_4(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
+def _drop_key(path, key):
+    """Remove ``key`` from the first layer of a model or plan document."""
+    with open(path) as f:
+        doc = json.load(f)
+    del doc["layers"][0][key]
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+@pytest.mark.parametrize("missing", ["tensor shape", "model M", "plan width"])
+def test_missing_required_key_exits_3(tmp_path, capsys, missing):
+    if missing == "tensor shape":
+        src = tmp_path / "t.bin"
+        header = {"name": "", "dtype": "f32", "byteOrder": "little"}
+        src.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(4, "<f4").tobytes())
+        argv = ["quantize", str(src), "--type", "int", "--out", str(tmp_path / "q.bin")]
+    else:
+        rc, model, plan = run_select(tmp_path)
+        assert rc == 0
+        _drop_key(model if missing == "model M" else plan, missing.split()[1])
+        argv = ["simulate", model, plan, "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing.split()[1] in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

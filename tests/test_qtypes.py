@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from flintq import flint
 from flintq.qtypes import (
+    KINDS,
     NumericType,
     QTensor,
     QuantScheme,
@@ -138,6 +139,33 @@ def test_clamping_bounds_dequantized_magnitude():
         s = 0.05
         out = fake_quantize(rng.normal(size=200) * 10, per_tensor(t, s))
         assert np.max(np.abs(out)) <= s * np.max(np.abs(t.grid())) + 1e-12
+
+
+def test_code_tables_are_read_only():
+    t = NumericType("flint", 4, signed=True)
+    for table in (t.code_values(), t.grid(), t.thresholds()):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+ALL_TYPES = [NumericType(k, w, s) for k in KINDS for w in range(3, 9) for s in (False, True)]
+
+
+@pytest.mark.parametrize("ntype", ALL_TYPES, ids=lambda t: t.name)
+def test_thresholds_match_quantizer(ntype):
+    # Each threshold is the first float64 that quantizes above the grid
+    # value below it: its lower neighbour still lands on grid[k], it and
+    # its upper neighbour on grid[k + 1].
+    thr, grid = ntype.thresholds(), ntype.grid()
+    assert thr.size == grid.size - 1 and np.all(np.diff(thr) > 0)
+    deq = lambda u: dequantize(quantize(u, per_tensor(ntype, 1.0)))  # noqa: E731
+    assert np.array_equal(deq(np.nextafter(thr, -np.inf)), grid[:-1])
+    assert np.array_equal(deq(thr), grid[1:])
+    assert np.array_equal(deq(np.nextafter(thr, np.inf)), grid[1:])
+    # Anywhere else the table lookup agrees with the quantizer.
+    top = 1.2 * grid[-1]
+    u = np.random.default_rng(ntype.width).uniform(-top if ntype.signed else 0.0, top, 5000)
+    assert np.array_equal(deq(u), grid[np.searchsorted(thr, u, side="right")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flintq.qtypes import NumericType, QuantScheme, QuantizationError, fake_quantize, mse
+from flintq.qtypes import KINDS, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
+import flintq.selector as selector_mod
 from flintq.selector import (
     DEFAULT_MIN_CLIP_RATIO,
     DEFAULT_SWEEP_STEPS,
@@ -49,13 +50,18 @@ def test_scale_search_matches_brute_force():
 
 
 def test_scale_search_ties_keep_smaller_scale(monkeypatch):
-    # Exact MSE ties are vanishingly rare with real data, so force one and
-    # check the tie resolves to the smaller scale (the earlier sweep step).
-    import flintq.selector as selector_mod
-
-    monkeypatch.setattr(selector_mod, "mse", lambda a, b: 1.0)
+    # Exact MSE ties are vanishingly rare with real data, so force one: every
+    # step gets the same prefix-sum score, so every step is re-scored, and
+    # every re-score is the same.  The tie must resolve to the smaller scale
+    # (the earlier sweep step).
+    rescored = []
+    monkeypatch.setattr(selector_mod, "_sweep_scores",
+                        lambda v, t, scales: (np.zeros(scales.size), np.zeros(scales.size)))
+    monkeypatch.setattr(selector_mod, "mse", lambda a, b: rescored.append(1) or 1.0)
     scheme, err, _ = argmin_mse_scale(np.array([1.0, -1.0]), INT4)
     assert err == 1.0
+    steps = DEFAULT_SWEEP_STEPS - round(DEFAULT_SWEEP_STEPS * DEFAULT_MIN_CLIP_RATIO) + 1
+    assert len(rescored) == steps
     assert scheme.scales[0] == pytest.approx(
         DEFAULT_MIN_CLIP_RATIO / INT4.max_value()
     )
@@ -87,6 +93,106 @@ def test_sweep_resolution_improves_or_matches():
     # The coarse grid is not a subset of the fine one, but more steps should
     # not be meaningfully worse.
     assert fine <= coarse * 1.05
+
+
+# The plain sweep the sort-once search must reproduce bit for bit: one
+# quantize -> dequantize -> mse round trip per clip step, ties to the earlier.
+def _plain_sweep(v, ntype, steps=DEFAULT_SWEEP_STEPS, min_ratio=DEFAULT_MIN_CLIP_RATIO):
+    max_abs = float(np.max(np.abs(v)))
+    if max_abs == 0.0:
+        return 1.0, 0.0
+    best_scale, best_mse = None, np.inf
+    for j in range(int(round(steps * min_ratio)), steps + 1):
+        scale = max_abs * j / steps / ntype.max_value()
+        err = mse(fake_quantize(v, QuantScheme(ntype, np.array([scale]))), v)
+        if err < best_mse:
+            best_mse, best_scale = err, scale
+    return best_scale, best_mse
+
+
+def _draw(dist, rng, n):
+    if dist == "normal":
+        return rng.standard_normal(n)
+    if dist == "contaminated":
+        t = rng.standard_normal(n)
+        t[rng.random(n) < 0.05] *= 4
+        return t
+    if dist == "student_t2":
+        return rng.standard_t(2, n)
+    if dist == "relu":
+        return np.maximum(rng.standard_normal(n), 0.0)
+    if dist == "laplace":
+        return rng.laplace(size=n)
+    if dist == "uniform":
+        return rng.uniform(-1, 1, n)
+    # Runs of equal values, many of them landing exactly on cell boundaries.
+    return np.round(rng.standard_normal(n) * 4) / 4
+
+
+DISTS = ("normal", "contaminated", "student_t2", "relu", "laplace", "uniform", "rounded")
+SWEEP_TYPES = [NumericType(k, w, s) for k in KINDS for w in (4, 8) for s in (True, False)]
+
+
+def _for_type(t, ntype):
+    return t if ntype.signed else np.abs(t)
+
+
+def _check_per_tensor(t, ntype):
+    scheme, err, deg = argmin_mse_scale(t, ntype)
+    want_scale, want_err = _plain_sweep(t.ravel(), ntype)
+    assert (scheme.scales[0], err) == (want_scale, want_err), ntype.name
+    assert deg == (not np.any(t))
+
+
+@pytest.mark.parametrize("ntype", SWEEP_TYPES, ids=lambda t: t.name)
+def test_sweep_scores_within_bound_of_exact_mse(ntype):
+    # The re-score picks the plain sweep's step only if every prefix-sum
+    # score lies within its bound of the exact MSE.  Values on and one ulp
+    # either side of threshold * scale, where x / scale and threshold *
+    # scale can disagree, test the cut correction; a wide draw tests the
+    # rounding bound.
+    max_abs, steps = 3.0, np.arange(20, 101)
+    scales = max_abs * steps / 100 / ntype.max_value()
+    on = (ntype.thresholds()[None, :] * scales[::4, None]).ravel()
+    edges = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+    wide = np.random.default_rng(3).laplace(size=5000)
+    for v in (edges, wide):
+        v = _for_type(np.append(v[np.abs(v) < max_abs], max_abs), ntype)
+        sweep = v.max() * steps / 100 / ntype.max_value()
+        est, bound = selector_mod._sweep_scores(v, ntype, sweep)
+        exact = [mse(fake_quantize(v, QuantScheme(ntype, np.array([s]))), v) for s in sweep]
+        assert np.all(np.abs(est - exact) <= bound)
+        assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 250, 3000])
+@pytest.mark.parametrize("dist", DISTS)
+def test_sweep_matches_plain_sweep_per_tensor(dist, n):
+    rng = np.random.default_rng([DISTS.index(dist), n])
+    t = _draw(dist, rng, n) * rng.uniform(0.01, 100)
+    for ntype in SWEEP_TYPES:
+        _check_per_tensor(_for_type(t, ntype), ntype)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_sweep_matches_plain_sweep_large(dist):
+    i = DISTS.index(dist)
+    t = _draw(dist, np.random.default_rng(i), 100_000)
+    ntype = SWEEP_TYPES[(5 * i) % len(SWEEP_TYPES)]
+    _check_per_tensor(_for_type(t, ntype), ntype)
+
+
+@pytest.mark.parametrize("ntype", SWEEP_TYPES, ids=lambda t: t.name)
+def test_sweep_matches_plain_sweep_per_channel(ntype):
+    rng = np.random.default_rng(11)
+    rows = [_draw(d, rng, 120) * 10.0 ** rng.uniform(-3, 3) for d in DISTS]
+    rows.append(np.zeros(120))  # an all-zero channel falls back to scale 1.0
+    t = _for_type(np.stack(rows), ntype)
+    scheme, err, deg = argmin_mse_scale(t, ntype, axis=0)
+    want = [_plain_sweep(row, ntype)[0] for row in t]
+    assert scheme.scales.tolist() == want
+    assert err == mse(fake_quantize(t, QuantScheme(ntype, np.array(want), axis=0)), t)
+    assert deg
 
 
 # ---------------------------------------------------------------------------
