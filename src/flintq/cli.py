@@ -30,7 +30,6 @@ from .selector import (
     DEFAULT_CANDIDATES,
     LayerTensors,
     make_candidates,
-    ntype_from_json,
     plan_mixed_precision,
 )
 
@@ -215,11 +214,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     layers = []
     for gl in graph:
         pl = plan_layers[gl.layer_id]
+        weight_type, activation_type = tensor_io.plan_layer_types(
+            pl, f"{args.plan}: plan layer {gl.layer_id}")
         layers.append(sim.GemmLayer(
             gl.layer_id, gl.m, gl.n, gl.k,
             width=int(pl["width"]),
-            weight_type=ntype_from_json(pl["weightType"]["ntype"]).name,
-            activation_type=ntype_from_json(pl["activationType"]["ntype"]).name,
+            weight_type=weight_type.name,
+            activation_type=activation_type.name,
         ))
     report = sim.simulate_model(cfg, sim.GemmWorkload(layers))
     inputs = [args.model, args.plan] + ([args.config] if args.config else [])

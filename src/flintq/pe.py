@@ -8,11 +8,22 @@ dequantized operands exactly, as long as nothing overflows the datapath.
 
 The 8-bit int multiply is composed from four 4-bit PE multiplies plus one
 adder, mirroring the mixed-precision array reconfiguration.
+
+``mac_step``, ``mul8_via_four`` and the (base, exponent) fields they take
+accept Python ints or numpy int64 arrays.  Arrays are elementwise and
+broadcast: each element is one independent MAC lane, and
+``MacState.accumulator`` and ``.overflowed`` become per-lane arrays
+(``strict`` raises if any lane overflows).  Python ints are
+arbitrary-precision at every width, ``wrap`` at width 64 included.  Array
+lanes compute in int64, so every product, shifted product and running sum
+must stay within the int64 range (magnitude below 2^63).  Beyond that bound
+numpy wraps the lane modulo 2^64 with no flag and no error, so the lane's
+result is wrong; use Python ints for wider datapaths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +37,16 @@ class DatapathError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MacState:
-    accumulator: int = 0
+    accumulator: int | np.ndarray = 0
     acc_width: int = 32
     product_width: int = 16
     policy: str = "widen"  # widen | saturate | wrap | strict
-    overflowed: bool = False
+    overflowed: bool | np.ndarray = False
+
+
+def _any(flags) -> bool:
+    """True if any lane is set; plain ``bool`` scalars skip the numpy call."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
 def decode_operand(code: int, ntype: NumericType) -> flint.DecodedPair:
@@ -54,17 +70,24 @@ def decode_operand(code: int, ntype: NumericType) -> flint.DecodedPair:
     raise QuantizationError(f"type {ntype.kind} has no integer-path decoder")
 
 
-def _clamp(value: int, width: int, policy: str) -> tuple[int, bool]:
+def _clamp(value, width: int, policy: str):
+    """Fit ``value`` to a signed ``width``; returns (value, per-lane overflow flags)."""
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if lo <= value <= hi:
-        return value, False
+    over = (value < lo) | (value > hi)
+    if not _any(over):
+        return value, over
     if policy == "strict":
-        raise DatapathError(f"value {value} exceeds {width}-bit signed range")
+        first = value[over].flat[0] if isinstance(value, np.ndarray) else value
+        raise DatapathError(f"value {first} exceeds {width}-bit signed range")
     if policy == "saturate":
-        return (hi if value > hi else lo), True
+        if isinstance(value, np.ndarray):
+            return np.clip(value, lo, hi), over
+        return (hi if value > hi else lo), over
     if policy == "wrap":
-        return ((value - lo) % (1 << width)) + lo, True
-    return value, True  # widen: keep exact, flag
+        # Masking is the two's-complement wrap for Python ints and int64 lanes
+        # alike; an int64 lane is never out of range at width 64.
+        return ((value - lo) & ((1 << width) - 1)) + lo, over
+    return value, over  # widen: keep exact, flag
 
 
 def mac_step(state: MacState, a: flint.DecodedPair, b: flint.DecodedPair) -> MacState:
@@ -72,21 +95,22 @@ def mac_step(state: MacState, a: flint.DecodedPair, b: flint.DecodedPair) -> Mac
     product = (a.base * b.base) << (a.exponent + b.exponent)
     product, p_over = _clamp(product, state.product_width, state.policy)
     acc, a_over = _clamp(state.accumulator + product, state.acc_width, state.policy)
-    return replace(state, accumulator=acc, overflowed=state.overflowed or p_over or a_over)
+    return MacState(acc, state.acc_width, state.product_width, state.policy,
+                    state.overflowed | p_over | a_over)
 
 
-def _split_nibbles(x: int, signed: bool) -> tuple[flint.DecodedPair, flint.DecodedPair]:
+def _split_nibbles(x, signed: bool) -> tuple[flint.DecodedPair, flint.DecodedPair]:
     lo, hi = (-128, 127) if signed else (0, 255)
-    if not lo <= x <= hi:
-        raise QuantizationError(f"{x} outside the 8-bit {'signed' if signed else 'unsigned'} range")
-    low = x & 0xF
-    high = (x >> 4) & 0xF
-    if signed and high >= 8:
-        high -= 16  # top nibble carries the sign
-    return flint.DecodedPair(high, 4), flint.DecodedPair(low, 0)
+    bad = (x < lo) | (x > hi)
+    if _any(bad):
+        first = x[bad].flat[0] if isinstance(x, np.ndarray) else x
+        raise QuantizationError(f"{first} outside the 8-bit {'signed' if signed else 'unsigned'} range")
+    # In range, the arithmetic shift leaves the top nibble, which carries the
+    # sign when signed.
+    return flint.DecodedPair(x >> 4, 4), flint.DecodedPair(x & 0xF, 0)
 
 
-def mul8_via_four(a: int, b: int, signed: bool = True) -> int:
+def mul8_via_four(a, b, signed: bool = True):
     """8-bit int multiply out of four 4-bit PE multiplies and one adder."""
     a_hi, a_lo = _split_nibbles(a, signed)
     b_hi, b_lo = _split_nibbles(b, signed)

@@ -27,6 +27,9 @@ class TensorIOError(ValueError):
     pass
 
 
+NTYPE_KEYS = ("kind", "width", "signed")
+
+
 def _require(doc, keys: tuple[str, ...], where: str) -> dict:
     """Return ``doc`` if it is a JSON object holding every key in ``keys``."""
     if not isinstance(doc, dict):
@@ -35,6 +38,12 @@ def _require(doc, keys: tuple[str, ...], where: str) -> dict:
     if missing:
         raise TensorIOError(f"{where}: missing required key(s) {', '.join(missing)}")
     return doc
+
+
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise TensorIOError(f"{where}: expected a JSON list, got {type(value).__name__}")
+    return value
 
 
 def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
@@ -91,7 +100,7 @@ def load_qtensor(path: str) -> QTensor:
     with open(path, "rb") as f:
         header = _read_header(f, path, ("shape", "ntype", "scales"))
         payload = f.read()
-    _require(header["ntype"], ("kind", "width", "signed"), f"{path}: ntype")
+    _require(header["ntype"], NTYPE_KEYS, f"{path}: ntype")
     shape = tuple(header["shape"])
     expected = int(np.prod(shape, dtype=np.int64))
     if len(payload) != expected:
@@ -177,7 +186,7 @@ def load_model_graph(path: str) -> list[GraphLayer]:
         doc = json.load(f)
     layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
     base = os.path.dirname(os.path.abspath(path))
-    layers = [_layer_from_json(d, base) for d in layers_doc]
+    layers = [_layer_from_json(d, base) for d in _require_list(layers_doc, f"{path}: layers")]
     seen = set()
     for l in layers:
         if l.layer_id in seen:
@@ -198,6 +207,15 @@ def save_plan(path: str, plan_json: dict) -> None:
 def load_plan(path: str) -> dict:
     with open(path) as f:
         doc = _require(json.load(f), ("layers",), path)
-    for layer in doc["layers"]:
+    for layer in _require_list(doc["layers"], f"{path}: layers"):
         _require(layer, ("layerId", "width"), f"{path}: plan layer")
     return doc
+
+
+def plan_layer_types(layer: dict, where: str) -> tuple[NumericType, NumericType]:
+    """The weight and activation types one plan layer selects."""
+    types = []
+    for role in ("weightType", "activationType"):
+        selection = _require(_require(layer, (role,), where)[role], ("ntype",), f"{where} {role}")
+        types.append(ntype_from_json(_require(selection["ntype"], NTYPE_KEYS, f"{where} {role} ntype")))
+    return tuple(types)

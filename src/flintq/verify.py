@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,39 +84,56 @@ def check_roundtrip() -> CheckResult:
     return CheckResult("encode-roundtrip", True)
 
 
+def _decoded_codes(ntype: NumericType) -> flint.DecodedPair:
+    """Every code of ``ntype`` decoded by the PE, as int64 (base, exponent) arrays."""
+    pairs = [pe.decode_operand(c, ntype) for c in range(1 << ntype.width)]
+    return flint.DecodedPair(
+        np.array([p.base for p in pairs], dtype=np.int64),
+        np.array([p.exponent for p in pairs], dtype=np.int64),
+    )
+
+
 def check_mac_exhaustive() -> CheckResult:
     kinds = ("int", "pot", "flint")
+    wide = pe.MacState(acc_width=64, product_width=64)
     for signed in (False, True):
         types = {k: NumericType(k, 4, signed) for k in kinds}
         vals = {k: types[k].code_values() for k in kinds}
+        decoded = {k: _decoded_codes(types[k]) for k in kinds}
         for ka in kinds:
+            # Codes of ``ka`` down the rows, of ``kb`` across: one lane per pair.
+            da = flint.DecodedPair(decoded[ka].base[:, None], decoded[ka].exponent[:, None])
             for kb in kinds:
-                for ca in range(16):
-                    for cb in range(16):
-                        st = pe.mac_step(
-                            pe.MacState(acc_width=64, product_width=64),
-                            pe.decode_operand(ca, types[ka]),
-                            pe.decode_operand(cb, types[kb]),
-                        )
-                        want = vals[ka][ca] * vals[kb][cb]
-                        if st.accumulator != want:
-                            return CheckResult(
-                                "mac-exhaustive", False,
-                                f"{ka}x{kb} signed={signed} codes ({ca},{cb}): "
-                                f"{st.accumulator} != {want}",
-                            )
+                got = pe.mac_step(wide, da, decoded[kb]).accumulator
+                want = vals[ka][:, None] * vals[kb][None, :]
+                bad = np.argwhere(got != want)
+                if bad.size:
+                    ca, cb = bad[0]
+                    return CheckResult(
+                        "mac-exhaustive", False,
+                        f"{ka}x{kb} signed={signed} codes ({ca},{cb}): "
+                        f"{got[ca, cb]} != {want[ca, cb]}",
+                    )
     return CheckResult("mac-exhaustive", True)
 
 
+# Rows of ``a`` per array call: 16 x 256 lanes keep the working set small.
+MUL8_BLOCK_ROWS = 16
+
+
 def check_mul8_exhaustive() -> CheckResult:
-    for a in range(256):
-        for b in range(256):
-            if pe.mul8_via_four(a, b, signed=False) != a * b:
-                return CheckResult("mul8-exhaustive", False, f"unsigned {a}*{b}")
-    for a in range(-128, 128):
-        for b in range(-128, 128):
-            if pe.mul8_via_four(a, b, signed=True) != a * b:
-                return CheckResult("mul8-exhaustive", False, f"signed {a}*{b}")
+    for signed in (False, True):
+        values = np.arange(-128, 128, dtype=np.int64) if signed else np.arange(256, dtype=np.int64)
+        for start in range(0, values.size, MUL8_BLOCK_ROWS):
+            a = values[start:start + MUL8_BLOCK_ROWS, None]
+            got = pe.mul8_via_four(a, values, signed=signed)
+            bad = np.argwhere(got != a * values)
+            if bad.size:
+                i, j = bad[0]
+                return CheckResult(
+                    "mul8-exhaustive", False,
+                    f"{'signed' if signed else 'unsigned'} {a[i, 0]}*{values[j]}",
+                )
     return CheckResult("mul8-exhaustive", True)
 
 
@@ -155,12 +173,15 @@ ALL_CHECKS: list[Callable[[], CheckResult]] = [
 
 
 def run_all(out: io.TextIOBase | None = None) -> bool:
+    """Run every check; print one ``PASS``/``FAIL`` line each with its wall time."""
     ok = True
     for check in ALL_CHECKS:
+        start = time.perf_counter()
         result = check()
+        seconds = time.perf_counter() - start
         ok &= result.ok
         if out is not None:
             status = "PASS" if result.ok else "FAIL"
             suffix = f"  ({result.detail})" if result.detail and not result.ok else ""
-            print(f"{status}  {result.name}{suffix}", file=out)
+            print(f"{status}  {result.name}{suffix}  ({seconds:.3f} s)", file=out)
     return ok

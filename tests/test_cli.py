@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from flintq import cli, tensor_io
+from flintq import cli, pe, tensor_io, verify
 from flintq.qtypes import NumericType, dequantize
 
 TABLE_UNSIGNED4 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
@@ -254,7 +255,10 @@ def _drop_key(path, key):
         json.dump(doc, f)
 
 
-@pytest.mark.parametrize("missing", ["tensor shape", "model M", "plan width"])
+@pytest.mark.parametrize("missing", [
+    "tensor shape", "model M", "plan width", "plan weightType", "plan activationType",
+    "model layers", "plan layers",
+])
 def test_missing_required_key_exits_3(tmp_path, capsys, missing):
     if missing == "tensor shape":
         src = tmp_path / "t.bin"
@@ -264,7 +268,13 @@ def test_missing_required_key_exits_3(tmp_path, capsys, missing):
     else:
         rc, model, plan = run_select(tmp_path)
         assert rc == 0
-        _drop_key(model if missing == "model M" else plan, missing.split()[1])
+        doc, key = missing.split()
+        path = model if doc == "model" else plan
+        if key == "layers":  # present, but not a list of layers
+            with open(path, "w") as f:
+                json.dump({"layers": 5}, f)
+        else:
+            _drop_key(path, key)
         argv = ["simulate", model, plan, "--out", str(tmp_path / "r")]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
@@ -280,5 +290,79 @@ def test_missing_required_key_exits_3(tmp_path, capsys, missing):
 def test_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert lines and all(l.startswith("PASS") for l in lines)
+    lines = out.splitlines()
+    assert len(lines) == len(verify.ALL_CHECKS)
+    assert all(re.fullmatch(r"PASS  [a-z0-9-]+  \(\d+\.\d{3} s\)", l) for l in lines), lines
+
+
+def test_verify_exhaustive_checks_cover_every_pair(monkeypatch):
+    real_mul8, real_mac = pe.mul8_via_four, pe.mac_step
+    mul8_lanes, mac_lanes = [], []
+
+    def mul8(a, b, signed=True):
+        a_lanes, b_lanes = (x.ravel().tolist() for x in np.broadcast_arrays(a, b))
+        mul8_lanes.extend((signed, x, y) for x, y in zip(a_lanes, b_lanes))
+        return real_mul8(a, b, signed)
+
+    def mac(state, a, b):
+        lanes = np.broadcast_arrays(a.base << a.exponent, b.base << b.exponent)
+        mac_lanes.extend(zip(*(x.ravel().tolist() for x in lanes)))
+        return real_mac(state, a, b)
+
+    monkeypatch.setattr(pe, "mul8_via_four", mul8)
+    assert verify.check_mul8_exhaustive().ok
+    monkeypatch.setattr(pe, "mac_step", mac)
+    assert verify.check_mac_exhaustive().ok
+    assert sorted(mul8_lanes) == sorted(
+        [(False, a, b) for a in range(256) for b in range(256)]
+        + [(True, a, b) for a in range(-128, 128) for b in range(-128, 128)]
+    )
+    want = []
+    for signed in (False, True):
+        values = [NumericType(k, 4, signed).code_values().tolist() for k in ("int", "pot", "flint")]
+        want += [(x, y) for va in values for vb in values for x in va for y in vb]
+    assert sorted(mac_lanes) == sorted(want)
+
+
+def _verify_fails_with(capsys, check, name, pair):
+    """``check`` fails naming ``pair``, and ``flintq verify`` reports it and exits 6."""
+    result = check()
+    assert not result.ok and result.name == name
+    assert pair in result.detail
+    capsys.readouterr()
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(verify.ALL_CHECKS)
+    assert [l.split()[1] for l in lines if l.startswith("FAIL")] == [name]
+    assert any(l.startswith(f"FAIL  {name}  ({pair}") for l in lines), lines
+
+
+@pytest.mark.parametrize("bad_signed, bad_a, bad_b", [
+    (True, -128, -128), (True, 127, 127), (True, -1, 0), (False, 0, 0), (False, 255, 255),
+])
+def test_verify_mul8_fail_names_the_pair(monkeypatch, capsys, bad_signed, bad_a, bad_b):
+    real = pe.mul8_via_four
+
+    def off_by_one(a, b, signed=True):
+        # Wrong for one pair only, in scalar and array calls alike.
+        return real(a, b, signed) + ((signed == bad_signed) & (a == bad_a) & (b == bad_b))
+
+    monkeypatch.setattr(pe, "mul8_via_four", off_by_one)
+    pair = f"{'signed' if bad_signed else 'unsigned'} {bad_a}*{bad_b}"
+    _verify_fails_with(capsys, verify.check_mul8_exhaustive, "mul8-exhaustive", pair)
+
+
+def test_verify_mac_fail_names_the_pair(monkeypatch, capsys):
+    real = pe.mac_step
+
+    def off_by_one(state, a, b):
+        # Wrong only where both operands are -64 = (-1) << 6: the last signed
+        # pot4 code, and no other 4-bit type decodes to (-1, 6).
+        s = real(state, a, b)
+        hit = (a.base == -1) & (a.exponent == 6) & (b.base == -1) & (b.exponent == 6)
+        return pe.MacState(s.accumulator + hit, s.acc_width, s.product_width, s.policy,
+                           s.overflowed)
+
+    monkeypatch.setattr(pe, "mac_step", off_by_one)
+    _verify_fails_with(capsys, verify.check_mac_exhaustive, "mac-exhaustive",
+                       "potxpot signed=True codes (15,15)")

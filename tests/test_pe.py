@@ -105,12 +105,54 @@ def test_mac_policy_wrap():
     small = pe.MacState(acc_width=8, product_width=16, policy="wrap")
     s = pe.mac_step(small, DecodedPair(10, 0), DecodedPair(13, 0))  # 130
     assert s.accumulator == 130 - 256 and s.overflowed
+    # Python ints wrap exactly past int64 too.
+    wide = pe.MacState(acc_width=64, product_width=128, policy="wrap")
+    s = pe.mac_step(wide, DecodedPair(3, 62), DecodedPair(1, 0))  # 3 * 2^62
+    assert s.accumulator == 3 * 2**62 - 2**64 and s.overflowed
 
 
 def test_mac_policy_widen_flags_but_keeps_exact():
     s = pe.mac_step(pe.MacState(), DecodedPair(1, 10), DecodedPair(1, 6))
     assert s.accumulator == 1 << 16  # past the 16-bit product: flagged, exact
     assert s.overflowed
+
+
+LANE = st.tuples(
+    st.integers(-(1 << 20), 1 << 20),  # accumulator
+    st.integers(-128, 127), st.integers(0, 12),  # a.base, a.exponent
+    st.integers(-128, 127), st.integers(0, 12),  # b.base, b.exponent
+    st.booleans(),  # overflowed already
+)
+
+
+@given(
+    lanes=st.lists(LANE, min_size=1, max_size=12),
+    policy=st.sampled_from(["widen", "saturate", "wrap", "strict"]),
+    product_width=st.integers(4, 24),
+    acc_width=st.integers(4, 24),
+)
+def test_array_mac_step_matches_scalar_lanes(lanes, policy, product_width, acc_width):
+    # Products reach 2^26 and sums 2^27, past both widths: lanes overflow
+    # the product, the accumulator, both or neither.
+    acc, ab, ae, bb, be, flag = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    flag = flag.astype(bool)
+    want = []
+    for lane in lanes:
+        state = pe.MacState(lane[0], acc_width, product_width, policy, lane[5])
+        try:
+            want.append(pe.mac_step(state, DecodedPair(*lane[1:3]), DecodedPair(*lane[3:5])))
+        except pe.DatapathError:
+            want.append(None)
+    state = pe.MacState(acc, acc_width, product_width, policy, flag)
+    if None in want:
+        assert policy == "strict"
+        with pytest.raises(pe.DatapathError):
+            pe.mac_step(state, DecodedPair(ab, ae), DecodedPair(bb, be))
+        return
+    got = pe.mac_step(state, DecodedPair(ab, ae), DecodedPair(bb, be))
+    assert got.accumulator.tolist() == [s.accumulator for s in want]
+    assert got.overflowed.tolist() == [s.overflowed for s in want]
+    assert (got.acc_width, got.product_width, got.policy) == (acc_width, product_width, policy)
 
 
 def test_default_product_width_covers_flint_times_int():
@@ -139,6 +181,12 @@ def test_mul8_exhaustive_unsigned():
     for a in range(0, 256, 3):
         for b in range(0, 256, 7):
             assert pe.mul8_via_four(a, b, signed=False) == a * b
+    # Every pair, one lane each: a down the rows, b across.
+    a = np.arange(256, dtype=np.int64)[:, None]
+    b = np.arange(256, dtype=np.int64)
+    got = pe.mul8_via_four(a, b, signed=False)
+    assert got.shape == (256, 256)
+    np.testing.assert_array_equal(got, a * b)
 
 
 def test_mul8_rejects_out_of_range():
@@ -146,6 +194,10 @@ def test_mul8_rejects_out_of_range():
         pe.mul8_via_four(128, 0)
     with pytest.raises(QuantizationError):
         pe.mul8_via_four(-1, 0, signed=False)
+    with pytest.raises(QuantizationError, match="^128 outside"):
+        pe.mul8_via_four(np.array([5, 128, -129]), 0)
+    with pytest.raises(QuantizationError, match="^-1 outside"):
+        pe.mul8_via_four(0, np.array([255, -1]), signed=False)
 
 
 def test_mul8_uses_only_mac_steps(monkeypatch):
