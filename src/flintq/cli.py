@@ -218,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             pl, f"{args.plan}: plan layer {gl.layer_id}")
         layers.append(sim.GemmLayer(
             gl.layer_id, gl.m, gl.n, gl.k,
-            width=int(pl["width"]),
+            width=pl["width"],
             weight_type=weight_type.name,
             activation_type=activation_type.name,
         ))

@@ -305,15 +305,15 @@ def _thresholds(t: NumericType) -> np.ndarray:
 # Public interface
 # ---------------------------------------------------------------------------
 
-def _iter_slices(shape: tuple[int, ...], axis: int | None):
-    """(selector, scale index) pairs covering the tensor."""
-    if axis is None:
-        yield (Ellipsis, 0)
-    else:
-        for c in range(shape[axis]):
-            sel = [slice(None)] * len(shape)
-            sel[axis] = c
-            yield (tuple(sel), c)
+def _broadcast_scales(scheme: QuantScheme, ndim: int) -> np.ndarray:
+    """The scales shaped to broadcast along the scheme's axis of an ``ndim``-D
+    tensor, so each element meets its own channel's scale in one array
+    operation; a per-tensor scheme's one scale as a scalar."""
+    if scheme.axis is None:
+        return scheme.scales[0]
+    shape = [1] * ndim
+    shape[scheme.axis] = scheme.scales.size
+    return scheme.scales.reshape(shape)
 
 
 def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
@@ -327,18 +327,13 @@ def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
         )
     if not scheme.ntype.signed and t.size and float(t.min()) < 0:
         raise QuantizationError("unsigned type cannot quantize negative values")
-    qfn = _QUANT_FNS[scheme.ntype.kind]
-    codes = np.zeros(t.shape, dtype=np.uint8)
-    for sel, ci in _iter_slices(t.shape, axis):
-        codes[sel] = qfn(t[sel] / scheme.scales[ci], scheme.ntype)
+    codes = _QUANT_FNS[scheme.ntype.kind](t / _broadcast_scales(scheme, t.ndim), scheme.ntype)
     return QTensor(codes.ravel(), t.shape, scheme)
 
 
 def dequantize(q: QTensor) -> np.ndarray:
-    lut = _code_values(q.scheme.ntype)
-    out = lut[q.codes].reshape(q.shape)
-    for sel, ci in _iter_slices(q.shape, q.scheme.axis):
-        out[sel] *= q.scheme.scales[ci]
+    out = _code_values(q.scheme.ntype)[q.codes].reshape(q.shape)
+    out *= _broadcast_scales(q.scheme, out.ndim)
     return out
 
 

@@ -59,92 +59,127 @@ def ntype_from_json(d: dict) -> NumericType:
 
 
 def _exact_cuts(xs: np.ndarray, thresholds: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """``#{x in xs : x / scale < threshold}`` for every scale (rows) and
-    threshold (columns), with ``xs`` sorted.
+    """``#{x in xs[r] : x / scales[r, i] < thresholds[j]}`` for every row r
+    of the row-sorted ``xs``, its scales i and the thresholds j.
 
     ``quantize`` compares ``x / scale`` with the unit-scale thresholds, but
     ``searchsorted`` needs ``threshold * scale``, which may be an ulp off.
     Each cut is then moved over whole runs of equal values until the
     division agrees on both sides of it.
     """
-    n = xs.size
-    thr = np.broadcast_to(thresholds, (scales.size, thresholds.size))
-    s = np.broadcast_to(scales[:, None], thr.shape)
-    cuts = np.searchsorted(xs, thr * s)
+    rows, n = xs.shape
+    thr = np.broadcast_to(thresholds, scales.shape + thresholds.shape)
+    s = np.broadcast_to(scales[..., None], thr.shape)
+    targets = thr * s
+    cuts = np.empty(thr.shape, dtype=np.int64)
+    for r in range(rows):  # searchsorted takes one sorted array at a time
+        cuts[r] = np.searchsorted(xs[r], targets[r])
+    flat, base = xs.ravel(), np.arange(0, rows * n, n)[:, None, None]
     while True:
-        below = xs[np.maximum(cuts - 1, 0)]
-        above = xs[np.minimum(cuts, n - 1)]
+        below = flat[base + np.maximum(cuts - 1, 0)]
+        above = flat[base + np.minimum(cuts, n - 1)]
         down = (cuts > 0) & (below / s >= thr)
         up = (cuts < n) & (above / s < thr)
         if not (down.any() or up.any()):
             return cuts
-        cuts[down] = np.searchsorted(xs, below[down], side="left")
-        cuts[up] = np.searchsorted(xs, above[up], side="right")
+        for r in np.flatnonzero((down | up).any(axis=(1, 2))):
+            cuts[r][down[r]] = np.searchsorted(xs[r], below[r][down[r]], side="left")
+            cuts[r][up[r]] = np.searchsorted(xs[r], above[r][up[r]], side="right")
 
 
 def _sweep_scores(
     v: np.ndarray, ntype: NumericType, scales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantization MSE of ``v`` at every scale from one sort, and a bound
-    on how far each figure may lie from ``mse(fake_quantize(...))``.
+    """Quantization MSE of every row of ``v`` at each of that row's scales
+    (``scales[r]``), from one sort, and a bound on how far each figure may
+    lie from ``mse(fake_quantize(...))`` of the row.
 
-    With ``v`` sorted and prefix sums P1, P2 of v and v**2, the grid cell
+    With each row sorted and prefix sums P1, P2 of v and v**2, the grid cell
     that dequantizes to ``d`` and holds ``m`` values adds
     ``P2 - 2 d P1 + m d**2`` to the squared error.  The bound covers the
-    rounding of both figures: with u the unit roundoff, n = len(v), G grid
-    cells and D the largest |d|, they differ by at most
+    rounding of both figures: with u the unit roundoff, n the row length, G
+    grid cells and D the largest |d|, they differ by at most
     ``(6n + G + 12) u M / n`` with M = sum v**2 + 2 D sum|v| + n D**2
     (sequential-summation error bounds); the bound returned is over twice
     that.
     """
-    xs = np.sort(v)
-    n = xs.size
-    p1, p2 = np.zeros(n + 1), np.zeros(n + 1)
-    np.cumsum(xs, out=p1[1:])
-    np.cumsum(np.square(xs), out=p2[1:])
+    xs = np.sort(v, axis=1)
+    rows, n = xs.shape
+    p1, p2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
+    np.cumsum(xs, axis=1, out=p1[:, 1:])
+    np.cumsum(np.square(xs), axis=1, out=p2[:, 1:])
     grid = ntype.grid()
-    edges = np.empty((scales.size, grid.size + 1), dtype=np.int64)
-    edges[:, 0], edges[:, -1] = 0, n
-    edges[:, 1:-1] = _exact_cuts(xs, ntype.thresholds(), scales)
-    d = grid[None, :] * scales[:, None]  # as dequantize computes it
-    s1, s2 = np.diff(p1[edges], axis=1), np.diff(p2[edges], axis=1)
-    est = (s2 - 2.0 * d * s1 + np.diff(edges, axis=1) * d * d).sum(axis=1) / n
+    edges = np.empty(scales.shape + (grid.size + 1,), dtype=np.int64)
+    edges[..., 0], edges[..., -1] = 0, n
+    edges[..., 1:-1] = _exact_cuts(xs, ntype.thresholds(), scales)
+    flat = edges + np.arange(0, rows * (n + 1), n + 1)[:, None, None]
+    d = grid * scales[..., None]  # as dequantize computes it
+    s1 = np.diff(p1.ravel()[flat], axis=-1)
+    s2 = np.diff(p2.ravel()[flat], axis=-1)
+    del flat
+    # s2 - 2 d s1 + m d d, evaluated in that order, in place.
+    s1 *= 2.0 * d
+    s2 -= s1
+    del s1
+    m = np.diff(edges, axis=-1) * d
+    m *= d
+    s2 += m
+    del m, d
+    est = s2.sum(axis=-1)
+    est /= n
     d_max = float(np.max(np.abs(grid))) * scales
-    m_total = p2[-1] + 2.0 * d_max * float(np.abs(xs).sum()) + n * d_max * d_max
+    m_total = p2[:, -1:] + 2.0 * d_max * np.abs(xs).sum(axis=1, keepdims=True) + n * d_max * d_max
     bound = np.finfo(np.float64).eps * (8 * n + 2 * grid.size + 32) * m_total / n
     return est, bound
 
 
-def _best_scale_1d(
-    v: np.ndarray,
+# Rows are swept in blocks whose largest temporary holds at most this many
+# elements, so memory stays bounded whatever the channel count or width.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _best_scales(
+    rows: np.ndarray,
     ntype: NumericType,
     steps: int,
     min_ratio: float,
-) -> tuple[float, float, bool]:
-    """Sweep clip ratios on one slice; returns (scale, mse, degenerate).
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sweep clip ratios on every row of ``rows``; returns each row's scale
+    and MSE, and whether any row was all-zero (its scale falls back to 1.0).
 
-    Every step is scored from prefix sums; the steps that may hold the
-    minimum within the rounding bound are re-scored exactly, so the result
-    is that of a plain quantize/dequantize/mse sweep.
+    Every step of every row is scored from prefix sums; the steps that may
+    hold a row's minimum within the rounding bound are re-scored exactly,
+    so each row's result is that of a plain quantize/dequantize/mse sweep,
+    ties keeping the earlier (smaller) scale.
     """
-    max_abs = float(np.max(np.abs(v))) if v.size else 0.0
-    if not np.isfinite(max_abs):
+    max_abs = np.abs(rows).max(axis=1)
+    if not np.all(np.isfinite(max_abs)):
         raise QuantizationError("input tensor contains non-finite values")
-    if max_abs == 0.0:
-        return 1.0, 0.0, True
-    max_rep = ntype.max_value()
-    scales = np.array([
-        max_abs * j / steps / max_rep for j in range(int(round(steps * min_ratio)), steps + 1)
-    ])
-    est, bound = _sweep_scores(v, ntype, scales)
-    # A NaN score (overflow) compares False, so its step is re-scored too.
-    maybe_best = ~(est - bound > np.min(est + bound))
-    best_scale, best_mse = None, np.inf
-    for scale in scales[maybe_best]:
-        err = mse(fake_quantize(v, QuantScheme(ntype, np.array([scale]))), v)
-        if err < best_mse:  # ties keep the earlier (smaller) scale
-            best_mse, best_scale = err, float(scale)
-    return best_scale, best_mse, False
+    zero = max_abs == 0.0  # swept at max_abs 1.0, then given scale 1.0 and MSE 0
+    ratios = np.arange(int(round(steps * min_ratio)), steps + 1)
+    sweep = np.where(zero, 1.0, max_abs)[:, None] * ratios / steps / ntype.max_value()
+    n = rows.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // max(n, sweep.shape[1] * (ntype.grid().size + 1)))
+    maybe_best = np.empty(sweep.shape, dtype=bool)
+    for b in range(0, len(rows), block):
+        est, bound = _sweep_scores(rows[b:b + block], ntype, sweep[b:b + block])
+        # A NaN score (overflow) compares False, so its step is re-scored too.
+        maybe_best[b:b + block] = ~(est - bound > np.min(est + bound, axis=1, keepdims=True))
+    row, step = np.nonzero(maybe_best)  # row-major: each row's steps in sweep order
+    cand = sweep[row, step]
+    cand_err = np.empty(cand.size)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for b in range(0, cand.size, block):
+        # One candidate per row (the usual case): the rows themselves, not a copy.
+        x = rows[b:b + block] if cand.size == len(rows) else rows[row[b:b + block]]
+        fq = fake_quantize(x, QuantScheme(ntype, cand[b:b + block], axis=0))
+        fq -= x
+        cand_err[b:b + block] = np.mean(np.square(fq, out=fq), axis=1)
+    # Lowest error per row; the stable sort keeps the earliest step on a tie.
+    pick = np.lexsort((cand_err, row))[np.searchsorted(row, np.arange(len(rows)))]
+    scales, errs = cand[pick], cand_err[pick]
+    scales[zero], errs[zero] = 1.0, 0.0
+    return scales, errs, bool(zero.any())
 
 
 def argmin_mse_scale(
@@ -156,21 +191,19 @@ def argmin_mse_scale(
 ) -> tuple[QuantScheme, float, bool]:
     """Per-slice MSE-minimizing scale search.
 
-    Returns the scheme, the overall quantization MSE, and a flag set when
-    any slice was all-zero (its scale falls back to 1.0).
+    The slices along ``axis`` (or the whole tensor, for ``axis=None``) are
+    the rows of one sweep.  Returns the scheme, the overall quantization
+    MSE, and a flag set when any slice was all-zero (its scale falls back
+    to 1.0).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         raise QuantizationError("cannot search scales on an empty tensor")
     if axis is None:
-        scale, err, degenerate = _best_scale_1d(t.ravel(), ntype, steps, min_ratio)
-        return QuantScheme(ntype, np.array([scale])), err, degenerate
-    scales = np.empty(t.shape[axis])
-    degenerate = False
-    moved = np.moveaxis(t, axis, 0)
-    for c in range(t.shape[axis]):
-        scales[c], _, deg = _best_scale_1d(moved[c].ravel(), ntype, steps, min_ratio)
-        degenerate |= deg
+        scales, errs, degenerate = _best_scales(t.reshape(1, -1), ntype, steps, min_ratio)
+        return QuantScheme(ntype, scales), float(errs[0]), degenerate
+    rows = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
+    scales, _, degenerate = _best_scales(rows, ntype, steps, min_ratio)
     scheme = QuantScheme(ntype, scales, axis=axis)
     return scheme, mse(fake_quantize(t, scheme), t), degenerate
 

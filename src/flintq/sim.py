@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 class SimConfigError(ValueError):
@@ -115,26 +115,22 @@ class LayerReport:
         return sum(self.energy.values())
 
 
+# The report columns that are LayerReport fields, and its integer event
+# counts, which the totals sum.
+_FIELD_COLUMNS = tuple(f.name for f in fields(LayerReport) if f.name != "energy")
+_COUNTERS = tuple(f.name for f in fields(LayerReport) if type(f.default) is int)
+# Energy components, in the order the reports list them.
+ENERGY_KEYS = ("static", "dram", "buffer", "core")
+
+
 @dataclass
 class SimReport:
     dataflow: str
     layers: list[LayerReport]
 
     def totals(self) -> LayerReport:
-        total = LayerReport("total")
+        total = LayerReport("total", **{k: sum(getattr(r, k) for r in self.layers) for k in _COUNTERS})
         for r in self.layers:
-            total.cycles += r.cycles
-            total.compute_cycles += r.compute_cycles
-            total.overhead_cycles += r.overhead_cycles
-            total.dram_bits += r.dram_bits
-            total.dram_bits_weight += r.dram_bits_weight
-            total.dram_bits_act += r.dram_bits_act
-            total.dram_bits_out += r.dram_bits_out
-            total.sram_bits += r.sram_bits
-            total.mac4_ops += r.mac4_ops
-            total.mac8_ops += r.mac8_ops
-            total.decode_events += r.decode_events
-            total.encode_events += r.encode_events
             for k, v in r.energy.items():
                 total.energy[k] = total.energy.get(k, 0.0) + v
         return total
@@ -172,7 +168,7 @@ def decoder_events(cfg: ArrayConfig, layer: GemmLayer) -> int:
 def simulate_layer(cfg: ArrayConfig, layer: GemmLayer) -> LayerReport:
     rep = LayerReport(layer.layer_id)
     if layer.m == 0 or layer.n == 0 or layer.k == 0:
-        rep.energy = {"static": 0.0, "dram": 0.0, "buffer": 0.0, "core": 0.0}
+        rep.energy = dict.fromkeys(ENERGY_KEYS, 0.0)
         return rep
 
     eff = cfg.n if layer.width == 4 else cfg.n // 2
@@ -238,33 +234,13 @@ def simulate_model(cfg: ArrayConfig, workload: GemmWorkload) -> SimReport:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "layer_id", "cycles", "compute_cycles", "overhead_cycles", "bandwidth_bound",
-    "dram_bits", "dram_bits_weight", "dram_bits_act", "dram_bits_out",
-    "sram_bits", "mac4_ops", "mac8_ops", "decode_events",
-    "encode_events", "energy_static", "energy_dram", "energy_buffer",
-    "energy_core", "energy_total",
-]
+CSV_COLUMNS = [*_FIELD_COLUMNS, *(f"energy_{k}" for k in ENERGY_KEYS), "energy_total"]
 
 
 def _row(r: LayerReport) -> dict:
-    row = {
-        "layer_id": r.layer_id,
-        "cycles": r.cycles,
-        "compute_cycles": r.compute_cycles,
-        "overhead_cycles": r.overhead_cycles,
-        "bandwidth_bound": int(r.bandwidth_bound),
-        "dram_bits": r.dram_bits,
-        "dram_bits_weight": r.dram_bits_weight,
-        "dram_bits_act": r.dram_bits_act,
-        "dram_bits_out": r.dram_bits_out,
-        "sram_bits": r.sram_bits,
-        "mac4_ops": r.mac4_ops,
-        "mac8_ops": r.mac8_ops,
-        "decode_events": r.decode_events,
-        "encode_events": r.encode_events,
-    }
-    for k in ("static", "dram", "buffer", "core"):
+    row = {name: getattr(r, name) for name in _FIELD_COLUMNS}
+    row["bandwidth_bound"] = int(r.bandwidth_bound)
+    for k in ENERGY_KEYS:
         row[f"energy_{k}"] = r.energy.get(k, 0.0)
     row["energy_total"] = r.total_energy()
     return row

@@ -14,6 +14,7 @@ Model graphs and precision plans are plain JSON documents.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,21 +30,57 @@ class TensorIOError(ValueError):
 
 NTYPE_KEYS = ("kind", "width", "signed")
 
+# JSON decodes to these types only; int never admits true or false here.
+_JSON_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer",
+               float: "a number", bool: "true or false", type(None): "null"}
+
+
+def _require_type(value, where: str, *types: type):
+    """Return ``value`` if its exact type is one of ``types``."""
+    if type(value) not in types:
+        want = " or ".join(_JSON_NAMES[t] for t in types)
+        got = json.dumps(value)
+        if len(got) > 40:
+            got = got[:37] + "..."
+        raise TensorIOError(f"{where}: expected {want}, got {got}")
+    return value
+
 
 def _require(doc, keys: tuple[str, ...], where: str) -> dict:
     """Return ``doc`` if it is a JSON object holding every key in ``keys``."""
-    if not isinstance(doc, dict):
-        raise TensorIOError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    missing = [k for k in keys if k not in doc]
+    missing = [k for k in keys if k not in _require_type(doc, where, dict)]
     if missing:
         raise TensorIOError(f"{where}: missing required key(s) {', '.join(missing)}")
     return doc
 
 
-def _require_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise TensorIOError(f"{where}: expected a JSON list, got {type(value).__name__}")
-    return value
+def _require_int(doc: dict, key: str, where: str, default: int | None = None) -> int:
+    """``doc[key]`` (``default`` if given and the key is absent) if it is a
+    JSON integer: null, true/false, a number with a fraction or exponent, a
+    string, a list or an object is malformed."""
+    value = doc[key] if default is None else doc.get(key, default)
+    return _require_type(value, f"{where} {key}", int)
+
+
+def _require_shape(header: dict, path: str) -> tuple[int, ...]:
+    where = f"{path}: header shape"
+    shape = tuple(_require_type(header["shape"], where, list))
+    for dim in shape:
+        if _require_type(dim, where, int) < 0:
+            raise TensorIOError(f"{where}: negative dimension {dim}")
+    return shape
+
+
+def _load_ntype(doc, where: str) -> NumericType:
+    """The numeric type an ``ntype`` object names; its width must be an
+    integer, ``signed`` true or false and ``floatSplit`` null or two integers."""
+    _require(doc, NTYPE_KEYS, where)
+    _require_int(doc, "width", where)
+    _require_type(doc["signed"], f"{where} signed", bool)
+    split = _require_type(doc.get("floatSplit"), f"{where} floatSplit", list, type(None))
+    if split is not None and (len(split) != 2 or any(type(v) is not int for v in split)):
+        raise TensorIOError(f"{where} floatSplit: expected two integers, got {json.dumps(split)}")
+    return ntype_from_json(doc)
 
 
 def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
@@ -73,8 +110,8 @@ def load_tensor(path: str) -> np.ndarray:
         raise TensorIOError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     if header.get("byteOrder") != "little":
         raise TensorIOError(f"{path}: unsupported byte order {header.get('byteOrder')!r}")
-    shape = tuple(header["shape"])
-    expected = 4 * int(np.prod(shape, dtype=np.int64))
+    shape = _require_shape(header, path)
+    expected = 4 * math.prod(shape)
     if len(payload) != expected:
         raise TensorIOError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     t = np.frombuffer(payload, dtype="<f4").reshape(shape)
@@ -100,16 +137,21 @@ def load_qtensor(path: str) -> QTensor:
     with open(path, "rb") as f:
         header = _read_header(f, path, ("shape", "ntype", "scales"))
         payload = f.read()
-    _require(header["ntype"], NTYPE_KEYS, f"{path}: ntype")
-    shape = tuple(header["shape"])
-    expected = int(np.prod(shape, dtype=np.int64))
+    ntype = _load_ntype(header["ntype"], f"{path}: ntype")
+    shape = _require_shape(header, path)
+    expected = math.prod(shape)
     if len(payload) != expected:
         raise TensorIOError(f"{path}: payload is {len(payload)} codes, expected {expected}")
-    ntype = ntype_from_json(header["ntype"])
     codes = np.frombuffer(payload, dtype=np.uint8)
     if codes.size and int(codes.max()) >= (1 << ntype.width):
         raise TensorIOError(f"{path}: code exceeds {ntype.width}-bit width")
-    scheme = QuantScheme(ntype, np.asarray(header["scales"]), axis=header.get("axis"))
+    scales = _require_type(header["scales"], f"{path}: header scales", list)
+    for v in scales:
+        _require_type(v, f"{path}: header scales", int, float)
+    axis = _require_type(header.get("axis"), f"{path}: header axis", int, type(None))
+    if axis is not None and not (0 <= axis < len(shape) and len(scales) == shape[axis]):
+        raise TensorIOError(f"{path}: {len(scales)} scales along axis {axis} of shape {list(shape)}")
+    scheme = QuantScheme(ntype, np.asarray(scales, dtype=np.float64), axis=axis)
     return QTensor(codes.copy(), shape, scheme)
 
 
@@ -141,8 +183,14 @@ class GraphLayer:
     calibration_paths: list[str] | None = None
 
 
+# The required keys of a conv layer, in ConvDims field order.
+CONV_KEYS = ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw")
+
+
 def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
     """im2col dims: M = batch*H_out*W_out, K = C*Kh*Kw, N = out channels."""
+    if dims.stride < 1:
+        raise TensorIOError(f"stride must be at least 1, got {dims.stride}")
     h_out = (dims.height + 2 * dims.pad - dims.kh) // dims.stride + 1
     w_out = (dims.width + 2 * dims.pad - dims.kw) // dims.stride + 1
     if h_out <= 0 or w_out <= 0:
@@ -155,24 +203,28 @@ def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
     return m, dims.out_channels, k
 
 
-def _layer_from_json(d: dict, base_dir: str) -> GraphLayer:
-    lid = _require(d, ("layerId",), "model layer")["layerId"]
+def _layer_from_json(d, path: str) -> GraphLayer:
+    lid = _require_type(_require(d, ("layerId",), f"{path}: model layer")["layerId"],
+                        f"{path}: model layer layerId", str)
+    where = f"{path}: model layer {lid}"
     kind = d.get("kind", "gemm")
     if kind == "gemm":
-        _require(d, ("M", "N", "K"), lid)
-        m, n, k = int(d["M"]), int(d["N"]), int(d["K"])
+        _require(d, ("M", "N", "K"), where)
+        m, n, k = (_require_int(d, key, where) for key in ("M", "N", "K"))
     elif kind == "conv":
-        _require(d, ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw"), lid)
-        dims = ConvDims(
-            batch=int(d["N_batch"]), in_channels=int(d["C"]), height=int(d["H"]),
-            width=int(d["W"]), out_channels=int(d["Cout"]), kh=int(d["Kh"]),
-            kw=int(d["Kw"]), stride=int(d.get("stride", 1)), pad=int(d.get("pad", 0)),
-        )
+        _require(d, CONV_KEYS, where)
+        dims = ConvDims(*(_require_int(d, key, where) for key in CONV_KEYS),
+                        stride=_require_int(d, "stride", where, 1),
+                        pad=_require_int(d, "pad", where, 0))
         m, n, k = lower_conv_to_gemm(dims)
     else:
-        raise TensorIOError(f"{lid}: unknown layer kind {kind!r}")
-    weight = d.get("weightTensor")
-    calib = d.get("calibrationActivations")
+        raise TensorIOError(f"{where}: unknown layer kind {kind!r}")
+    weight = _require_type(d.get("weightTensor"), f"{where} weightTensor", str, type(None))
+    calib = _require_type(d.get("calibrationActivations"), f"{where} calibrationActivations",
+                          list, type(None))
+    for p in calib or ():
+        _require_type(p, f"{where} calibrationActivations", str)
+    base_dir = os.path.dirname(os.path.abspath(path))
     join = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
     return GraphLayer(
         lid, kind, m, n, k,
@@ -185,8 +237,8 @@ def load_model_graph(path: str) -> list[GraphLayer]:
     with open(path) as f:
         doc = json.load(f)
     layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
-    base = os.path.dirname(os.path.abspath(path))
-    layers = [_layer_from_json(d, base) for d in _require_list(layers_doc, f"{path}: layers")]
+    layers = [_layer_from_json(d, path)
+              for d in _require_type(layers_doc, f"{path}: layers", list)]
     seen = set()
     for l in layers:
         if l.layer_id in seen:
@@ -207,8 +259,10 @@ def save_plan(path: str, plan_json: dict) -> None:
 def load_plan(path: str) -> dict:
     with open(path) as f:
         doc = _require(json.load(f), ("layers",), path)
-    for layer in _require_list(doc["layers"], f"{path}: layers"):
+    for layer in _require_type(doc["layers"], f"{path}: layers", list):
         _require(layer, ("layerId", "width"), f"{path}: plan layer")
+        _require_type(layer["layerId"], f"{path}: plan layer layerId", str)
+        _require_int(layer, "width", f"{path}: plan layer {layer['layerId']}")
     return doc
 
 
@@ -217,5 +271,5 @@ def plan_layer_types(layer: dict, where: str) -> tuple[NumericType, NumericType]
     types = []
     for role in ("weightType", "activationType"):
         selection = _require(_require(layer, (role,), where)[role], ("ntype",), f"{where} {role}")
-        types.append(ntype_from_json(_require(selection["ntype"], NTYPE_KEYS, f"{where} {role} ntype")))
+        types.append(_load_ntype(selection["ntype"], f"{where} {role} ntype"))
     return tuple(types)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flintq import flint
+from flintq import flint, qtypes
 from flintq.qtypes import (
     KINDS,
     NumericType,
@@ -185,6 +185,35 @@ def test_per_channel_independence():
 def test_per_channel_scale_count_checked():
     with pytest.raises(QuantizationError):
         quantize(np.zeros((3, 2)), QuantScheme(INT4, np.array([1.0, 1.0]), axis=0))
+
+
+# quantize/dequantize broadcast the scales along the axis; the reference
+# takes one slice at a time, divides or multiplies by its scale and runs the
+# kind's quantizer, so both must agree bit for bit.
+def _sliced_reference(t, scheme):
+    codes, values = np.zeros(t.shape, dtype=np.uint8), np.zeros(t.shape)
+    for c, scale in enumerate(scheme.scales):
+        sel = tuple(c if i == scheme.axis else slice(None) for i in range(t.ndim))
+        codes[sel] = qtypes._QUANT_FNS[scheme.ntype.kind](t[sel] / scale, scheme.ntype)
+        values[sel] = scheme.ntype.code_values()[codes[sel]]
+        values[sel] *= scale
+    return codes, values
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("ntype", [NumericType(k, w, s) for k in KINDS for w in (4, 8)
+                                   for s in (True, False)], ids=lambda t: t.name)
+def test_per_channel_quantize_matches_sliced_reference(ntype, axis):
+    rng = np.random.default_rng([axis, ntype.width, KINDS.index(ntype.kind)])
+    t = rng.laplace(size=(5, 6, 7)) * 10.0 ** rng.uniform(-2, 2, size=(5, 6, 7))
+    t = t if ntype.signed else np.abs(t)
+    scales = 10.0 ** rng.uniform(-2, 1, size=t.shape[axis])
+    scheme = QuantScheme(ntype, scales, axis=axis)
+    q = quantize(t, scheme)
+    codes, values = _sliced_reference(t, scheme)
+    assert q.codes.tobytes() == codes.tobytes()
+    assert dequantize(q).tobytes() == values.tobytes()
+    assert fake_quantize(t, scheme).tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,19 @@ def test_scale_search_ties_keep_smaller_scale(monkeypatch):
     # every re-score is the same.  The tie must resolve to the smaller scale
     # (the earlier sweep step).
     rescored = []
+
+    def zero_fake_quantize(x, scheme):
+        rescored.extend(scheme.scales.tolist())
+        return np.zeros_like(x)  # every step's error is mean(x**2) = 1.0
+
     monkeypatch.setattr(selector_mod, "_sweep_scores",
-                        lambda v, t, scales: (np.zeros(scales.size), np.zeros(scales.size)))
-    monkeypatch.setattr(selector_mod, "mse", lambda a, b: rescored.append(1) or 1.0)
+                        lambda v, t, scales: (np.zeros(scales.shape), np.zeros(scales.shape)))
+    monkeypatch.setattr(selector_mod, "fake_quantize", zero_fake_quantize)
     scheme, err, _ = argmin_mse_scale(np.array([1.0, -1.0]), INT4)
     assert err == 1.0
     steps = DEFAULT_SWEEP_STEPS - round(DEFAULT_SWEEP_STEPS * DEFAULT_MIN_CLIP_RATIO) + 1
-    assert len(rescored) == steps
-    assert scheme.scales[0] == pytest.approx(
+    assert len(set(rescored)) == len(rescored) == steps
+    assert scheme.scales[0] == min(rescored) == pytest.approx(
         DEFAULT_MIN_CLIP_RATIO / INT4.max_value()
     )
 
@@ -159,7 +164,7 @@ def test_sweep_scores_within_bound_of_exact_mse(ntype):
     for v in (edges, wide):
         v = _for_type(np.append(v[np.abs(v) < max_abs], max_abs), ntype)
         sweep = v.max() * steps / 100 / ntype.max_value()
-        est, bound = selector_mod._sweep_scores(v, ntype, sweep)
+        est, bound = (a[0] for a in selector_mod._sweep_scores(v[None], ntype, sweep[None]))
         exact = [mse(fake_quantize(v, QuantScheme(ntype, np.array([s]))), v) for s in sweep]
         assert np.all(np.abs(est - exact) <= bound)
         assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
@@ -193,6 +198,59 @@ def test_sweep_matches_plain_sweep_per_channel(ntype):
     assert scheme.scales.tolist() == want
     assert err == mse(fake_quantize(t, QuantScheme(ntype, np.array(want), axis=0)), t)
     assert deg
+
+
+def _channels(shape, axis, seed):
+    """Laplace values whose magnitude varies by up to 10**4 between channels."""
+    rng = np.random.default_rng(seed)
+    spread = np.moveaxis(10.0 ** rng.uniform(-2, 2, size=(shape[axis],) + (1,) * (len(shape) - 1)),
+                         0, axis)
+    return rng.laplace(size=shape) * spread
+
+
+def _zero_between():
+    t = _channels((5, 30), 0, 5)
+    t[[1, 3]] = 0.0
+    return t
+
+
+ROW_8BIT = 81 * 257  # largest temporary of one 8-bit row's scores
+CHANNEL_CASES = {
+    "axis 1 of 2-D": (_channels((40, 9), 1, 1), 1),
+    "axis 0 of 3-D": (_channels((6, 5, 7), 0, 2), 0),
+    "axis 2 of 3-D": (_channels((6, 5, 7), 2, 3), 2),
+    "single-element channels": (_channels((12, 1), 0, 4), 0),
+    "zero channels between live ones": (_zero_between(), 0),
+    "8-bit channels over several blocks": (_channels((13, 40), 0, 6), 0),
+}
+
+
+@pytest.mark.parametrize("case", CHANNEL_CASES)
+def test_batched_sweep_matches_plain_sweep_per_slice(monkeypatch, case):
+    # All channels are rows of one sweep, scored in blocks of rows and
+    # re-scored in chunks of candidates; each channel must still get what a
+    # plain sweep of that slice alone gets, whatever the block size.
+    t, axis = CHANNEL_CASES[case]
+    moved = np.moveaxis(t, axis, 0)
+    eight_bit = case.startswith("8-bit")
+    types = [s for s in SWEEP_TYPES if s.width == 8] if eight_bit else SWEEP_TYPES[::3]
+    for ntype in types:
+        v = _for_type(t, ntype)
+        slices = np.moveaxis(v, axis, 0)
+        want = [_plain_sweep(s.ravel(), ntype)[0] for s in slices]
+        reference = np.empty_like(v)  # one per-tensor fake_quantize per slice
+        for s, scale, out in zip(slices, want, np.moveaxis(reference, axis, 0)):
+            out[...] = fake_quantize(s, QuantScheme(ntype, np.array([scale])))
+        # the module's block size; several 8-bit rows per block; one row per
+        # block and a few candidates per re-score chunk
+        for block in (selector_mod._BLOCK_ELEMENTS, 4 * ROW_8BIT, 100):
+            monkeypatch.setattr(selector_mod, "_BLOCK_ELEMENTS", block)
+            if eight_bit:
+                assert len(moved) > 2 * max(1, block // ROW_8BIT)
+            scheme, err, deg = argmin_mse_scale(v, ntype, axis=axis)
+            assert scheme.scales.tolist() == want, (ntype.name, block)
+            assert err == mse(reference, v), (ntype.name, block)
+            assert deg == any(not np.any(s) for s in slices)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,12 @@ def test_lower_conv_kernel_too_big():
         tensor_io.lower_conv_to_gemm(tensor_io.ConvDims(1, 1, 2, 2, 1, 5, 5))
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_lower_conv_rejects_stride_below_one(stride):
+    with pytest.raises(tensor_io.TensorIOError, match="stride"):
+        tensor_io.lower_conv_to_gemm(tensor_io.ConvDims(1, 1, 4, 4, 1, 3, 3, stride=stride))
+
+
 # ---------------------------------------------------------------------------
 # Model graphs
 # ---------------------------------------------------------------------------
