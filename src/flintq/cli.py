@@ -203,11 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if missing:
         raise PlanMismatchError(f"plan does not cover layers: {', '.join(missing)}")
 
-    if args.config:
-        with open(args.config) as f:
-            cfg = sim.ArrayConfig.from_json(json.load(f))
-    else:
-        cfg = sim.ArrayConfig()
+    cfg = tensor_io.load_array_config(args.config) if args.config else sim.ArrayConfig()
     if args.dataflow:
         cfg = sim.ArrayConfig.from_json({**cfg.to_json(), "dataflow": args.dataflow})
 

@@ -103,8 +103,20 @@ def mantissa_width(b: int, i: int) -> int:
     return b - len(exponent_code(b, i))
 
 
-def _round_half_away(x: float) -> int:
-    return int(np.floor(abs(x) + 0.5) * (1 if x >= 0 else -1))
+def round_half_away(x):
+    """Round half away from zero: floor(|x| + 0.5) with the sign of x.
+
+    Takes a float or a numpy array (element-wise); ``encode`` rounds with
+    it, and so do the int and flint quantizers and the threshold tables.
+    An array is rounded within one new array: each fresh temporary of a
+    large array costs page faults that take longer than the arithmetic.
+    """
+    r = np.abs(x)
+    if type(r) is not np.ndarray:
+        return np.sign(x) * np.floor(r + 0.5)
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, x, out=r)
 
 
 def max_magnitude(b: int, signed: bool = False) -> int:
@@ -119,7 +131,7 @@ def _encode_magnitude(q: int, b: int) -> int:
         return 0
     i = interval_index(q, b)
     mb = mantissa_width(b, i)
-    m = _round_half_away((q / (1 << (i - 1)) - 1.0) * (1 << mb))
+    m = int(round_half_away((q / (1 << (i - 1)) - 1.0) * (1 << mb)))
     if m == (1 << mb):
         # Mantissa rounding overflowed the interval: carry into the next one.
         i += 1
@@ -141,7 +153,7 @@ def encode(e: float, b: int, s: float = 1.0, signed: bool = False) -> FlintCode:
     mag_width = b - 1 if signed else b
     if mag_width < MIN_WIDTH - 1:
         raise FlintDomainError(f"signed flint needs width >= {MIN_WIDTH + 1}, got {b}")
-    q = _round_half_away(e / s)
+    q = int(round_half_away(e / s))
     if not signed and q < 0:
         q = 0
     neg = q < 0

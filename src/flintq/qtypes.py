@@ -6,6 +6,12 @@ factors (per-tensor or per-channel), and ``quantize``/``dequantize`` map
 between real tensors and code tensors.  Codes are stored one per element
 in uint8 arrays.
 
+``quantize`` finds each element's cell of the type's value grid: int and
+flint round to an integer in closed form, pot and float search the cached
+threshold table.  It writes the lowest code of the cell's value, so every
+input in the zero cell gets code 0.  ``fake_quantize`` reads the values
+straight from the grid.
+
 Code layouts:
 * int    -- two's complement in the low ``width`` bits.
 * pot    -- code 0 is zero, code k >= 1 is 2**(k-1); signed uses a sign
@@ -46,6 +52,8 @@ class NumericType:
         if self.kind == "float":
             split = self.float_split or default_float_split(self.width, self.signed)
             e, m = split
+            if e < 0 or m < 0:
+                raise QuantizationError(f"float split {split} has a negative field width")
             if e + m + (1 if self.signed else 0) != self.width:
                 raise QuantizationError(f"float split {split} does not fill width {self.width}")
             object.__setattr__(self, "float_split", (e, m))
@@ -116,10 +124,6 @@ class QTensor:
             raise QuantizationError("code exceeds type width")
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Per-kind code tables (value of each code word at unit scale)
 # ---------------------------------------------------------------------------
@@ -170,59 +174,20 @@ _CODE_VALUE_FNS = {
 
 
 # ---------------------------------------------------------------------------
-# Per-kind quantizers (input already divided by the scale)
+# Rounding rules of pot and float (input already divided by the scale).  Only
+# the threshold tables call them: quantize reads the tables.  flint's rule is
+# ``flint.encode`` and int's is ``flint.round_half_away``.
 # ---------------------------------------------------------------------------
-
-def _quant_int(v: np.ndarray, t: NumericType) -> np.ndarray:
-    if t.signed:
-        lo, hi = -(1 << (t.width - 1)), (1 << (t.width - 1)) - 1
-    else:
-        lo, hi = 0, (1 << t.width) - 1
-    q = np.clip(_round_half_away(v), lo, hi).astype(np.int64)
-    return (q & ((1 << t.width) - 1)).astype(np.uint8)
-
 
 def _quant_pot(v: np.ndarray, t: NumericType) -> np.ndarray:
     mag_width = t.width - 1 if t.signed else t.width
     kmax = (1 << mag_width) - 2  # largest exponent, code kmax+1
     mag = np.abs(v)
     with np.errstate(divide="ignore"):
-        k = np.clip(_round_half_away(np.log2(np.where(mag > 0, mag, 1.0))), 0, kmax)
+        k = np.clip(flint.round_half_away(np.log2(np.where(mag > 0, mag, 1.0))), 0, kmax)
     code = np.where(mag < 0.5, 0, k + 1).astype(np.int64)
     if t.signed:
         code = np.where((v < 0) & (code > 0), code | (1 << (t.width - 1)), code)
-    return code.astype(np.uint8)
-
-
-def _quant_flint(v: np.ndarray, t: NumericType) -> np.ndarray:
-    """Vectorized element-wise flint encoding (scale already applied)."""
-    b = t.width
-    mag_width = b - 1 if t.signed else b
-    q = _round_half_away(v)
-    if not t.signed:
-        q = np.maximum(q, 0.0)
-    neg = q < 0
-    a = np.minimum(np.abs(q), float(1 << (2 * mag_width - 2)))
-    # interval index i = floor(log2 a) + 1; frexp is exact for integer-valued a
-    _, i = np.frexp(a)
-    i = i.astype(np.int64)
-    mb_lut = np.array([0] + [flint.mantissa_width(mag_width, j) for j in range(1, 2 * mag_width)])
-    base_lut = np.array(
-        [0]
-        + [
-            int(flint.exponent_code(mag_width, j), 2) << flint.mantissa_width(mag_width, j)
-            for j in range(1, 2 * mag_width)
-        ]
-    )
-    mb = mb_lut[i]
-    m = np.floor((a / np.exp2(i - 1.0) - 1.0) * np.exp2(mb.astype(np.float64)) + 0.5).astype(np.int64)
-    carry = m == (1 << mb)
-    i = np.where(carry, i + 1, i)
-    m = np.where(carry, 0, m)
-    code = base_lut[i] + m
-    code = np.where(a == 0, 0, code)
-    if t.signed:
-        code = np.where(neg & (code > 0), code | (1 << (b - 1)), code)
     return code.astype(np.uint8)
 
 
@@ -242,18 +207,6 @@ def _quant_grid_nearest(v: np.ndarray, t: NumericType) -> np.ndarray:
     return order[chosen].astype(np.uint8)
 
 
-def _quant_float(v: np.ndarray, t: NumericType) -> np.ndarray:
-    return _quant_grid_nearest(v, t)
-
-
-_QUANT_FNS = {
-    "int": _quant_int,
-    "pot": _quant_pot,
-    "flint": _quant_flint,
-    "float": _quant_float,
-}
-
-
 # ---------------------------------------------------------------------------
 # Cached per-type tables (NumericType is frozen, so it keys the caches)
 # ---------------------------------------------------------------------------
@@ -269,8 +222,18 @@ def _code_values(t: NumericType) -> np.ndarray:
 
 
 @functools.cache
+def _cell_codes(t: NumericType) -> np.ndarray:
+    """The code ``quantize`` writes for each grid cell: the lowest code of the
+    cell's value.  The stable sort makes the zero cell's code 0, never the
+    -0 that a sign bit over a zero magnitude gives."""
+    _, first = np.unique(_code_values(t), return_index=True)
+    return _read_only(first.astype(np.uint8))
+
+
+@functools.cache
 def _grid(t: NumericType) -> np.ndarray:
-    return _read_only(np.unique(_code_values(t)))
+    # Read through the cell codes, so the zero cell holds +0.0 (code 0).
+    return _read_only(_code_values(t)[_cell_codes(t)])
 
 
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)
@@ -286,19 +249,65 @@ def _key_float(k: np.ndarray) -> np.ndarray:
     return np.where(k < 0, -k | _SIGN_BIT, k).view(np.float64)
 
 
-@functools.cache
-def _thresholds(t: NumericType) -> np.ndarray:
-    """Bisect, over the float64 values between each pair of neighbouring grid
-    values, for the first one the kind's own quantizer maps above the lower
-    neighbour; every rounding rule keeps its single definition there."""
-    values, grid, quant = _code_values(t), _grid(t), _QUANT_FNS[t.kind]
-    lo, hi = _float_key(grid[:-1]), _float_key(grid[1:])
+def _bisect(lo: np.ndarray, hi: np.ndarray, above) -> np.ndarray:
+    """Element-wise, the least float64 in (lo, hi] at which the monotone
+    predicate ``above`` holds; it must be false at lo and true at hi."""
+    lo, hi = _float_key(lo), _float_key(hi)
     while np.any(hi - lo > 1):
         mid = lo + (hi - lo) // 2
-        above = values[quant(_key_float(mid), t)] > grid[:-1]
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return _read_only(_key_float(hi))
+        up = above(_key_float(mid))
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return _key_float(hi)
+
+
+def _rounding_cuts(q: np.ndarray) -> np.ndarray:
+    """The least float64 that ``flint.round_half_away`` takes to q or above,
+    for each integer q."""
+    return _bisect(q - 1.0, q, lambda u: flint.round_half_away(u) >= q)
+
+
+def _flint_integer_cuts(t: NumericType) -> np.ndarray:
+    """The least integer that ``flint.encode`` maps above each grid value but
+    the last, by bisection over the integers up to the next grid value."""
+    values, grid = _code_values(t), _grid(t)
+    lo, hi = grid[:-1].astype(np.int64), grid[1:].astype(np.int64)
+    while (open_ := np.flatnonzero(hi - lo > 1)).size:
+        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
+        codes = [flint.encode(int(m), t.width, 1.0, t.signed).bits for m in mid]
+        up = values[codes] > grid[:-1][open_]
+        hi[open_[up]] = mid[up]
+        lo[open_[~up]] = mid[~up]
+    return hi.astype(np.float64)
+
+
+@functools.cache
+def _thresholds(t: NumericType) -> np.ndarray:
+    """Each threshold is found from the kind's single rounding rule.  int and
+    flint round ``u`` half away from zero to an integer first (flint.encode
+    then encodes that integer), so their thresholds are the rounding cuts of
+    the least integer above each grid value.  pot and float are bisected
+    over the float64 values between neighbouring grid values."""
+    grid = _grid(t)
+    if t.kind == "int":
+        cuts = _rounding_cuts(grid[1:])
+    elif t.kind == "flint":
+        cuts = _rounding_cuts(_flint_integer_cuts(t))
+    else:
+        values = _code_values(t)
+        rule = _quant_pot if t.kind == "pot" else _quant_grid_nearest
+        cuts = _bisect(grid[:-1], grid[1:], lambda u: values[rule(u, t)] > grid[:-1])
+    return _read_only(cuts)
+
+
+@functools.cache
+def _integer_cells(t: NumericType) -> np.ndarray:
+    """The grid cell of each integer from ``grid()[0]`` to ``grid()[-1]``.
+    flint rounds ``u`` to an integer q first, so q's cell here is the cell
+    that ``searchsorted(thresholds(), u, "right")`` finds."""
+    grid = _grid(t)
+    q = np.arange(grid[0], grid[-1] + 1)
+    return _read_only(np.searchsorted(_thresholds(t), q, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +325,9 @@ def _broadcast_scales(scheme: QuantScheme, ndim: int) -> np.ndarray:
     return scheme.scales.reshape(shape)
 
 
-def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
-    t = np.asarray(t, dtype=np.float64)
+def _cells(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
+    """The grid cell of every element of ``t``, flat in C order:
+    ``grid()[cells]`` is its quantized value at unit scale."""
     if not np.all(np.isfinite(t)):
         raise QuantizationError("input tensor contains non-finite values")
     axis = scheme.axis
@@ -325,10 +335,27 @@ def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
         raise QuantizationError(
             f"got {scheme.scales.size} scales for axis of length {t.shape[axis]}"
         )
-    if not scheme.ntype.signed and t.size and float(t.min()) < 0:
+    ntype = scheme.ntype
+    if not ntype.signed and t.size and float(t.min()) < 0:
         raise QuantizationError("unsigned type cannot quantize negative values")
-    codes = _QUANT_FNS[scheme.ntype.kind](t / _broadcast_scales(scheme, t.ndim), scheme.ntype)
-    return QTensor(codes.ravel(), t.shape, scheme)
+    with np.errstate(over="ignore"):  # an infinite quotient lands on an end cell
+        u = np.ravel(t / _broadcast_scales(scheme, t.ndim))
+    if ntype.kind in ("pot", "float"):
+        return np.searchsorted(_thresholds(ntype), u, side="right")
+    # int and flint round u to an integer first; that closed form beats the
+    # table search.  flint then maps the integer to its cell.
+    lo, hi = _grid(ntype)[[0, -1]]
+    q = flint.round_half_away(u)
+    del u  # the cast below may take its pages
+    np.clip(q, lo, hi, out=q)
+    q -= lo
+    q = q.astype(np.intp)
+    return q if ntype.kind == "int" else _integer_cells(ntype)[q]
+
+
+def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
+    t = np.asarray(t, dtype=np.float64)
+    return QTensor(_cell_codes(scheme.ntype)[_cells(t, scheme)], t.shape, scheme)
 
 
 def dequantize(q: QTensor) -> np.ndarray:
@@ -338,8 +365,12 @@ def dequantize(q: QTensor) -> np.ndarray:
 
 
 def fake_quantize(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
-    """quantize followed by dequantize."""
-    return dequantize(quantize(t, scheme))
+    """quantize followed by dequantize, bit for bit, read straight from the
+    grid without a round trip through the codes."""
+    t = np.asarray(t, dtype=np.float64)
+    out = _grid(scheme.ntype)[_cells(t, scheme)].reshape(t.shape)
+    out *= _broadcast_scales(scheme, out.ndim)
+    return out
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

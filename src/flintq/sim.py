@@ -200,7 +200,11 @@ def simulate_layer(cfg: ArrayConfig, layer: GemmLayer) -> LayerReport:
     rep.dram_bits_out = layer.m * layer.n * out_bits
     rep.dram_bits = rep.dram_bits_weight + rep.dram_bits_act + rep.dram_bits_out
     core_cycles = rep.compute_cycles + rep.overhead_cycles
-    dram_cycles = math.ceil(rep.dram_bits / cfg.dram_bandwidth_bits)
+    dram_cycles = rep.dram_bits / cfg.dram_bandwidth_bits
+    if not math.isfinite(dram_cycles):
+        raise SimConfigError(f"{layer.layer_id}: DRAM cycles overflow at "
+                             f"{cfg.dram_bandwidth_bits} bit/cycle")
+    dram_cycles = math.ceil(dram_cycles)
     rep.cycles = max(core_cycles, dram_cycles)
     rep.bandwidth_bound = dram_cycles > core_cycles
 

@@ -1,4 +1,5 @@
-"""File formats: raw tensors, quantized tensors, model graphs, plans.
+"""File formats: raw tensors, quantized tensors, model graphs, plans, array
+configs.
 
 On-disk layout for tensor files is one UTF-8 JSON header line terminated
 by ``\\n``, followed by the raw payload:
@@ -8,11 +9,12 @@ by ``\\n``, followed by the raw payload:
 * qtensor file  -- header {"shape", "ntype", "scales", "axis"}; payload
   is one code per byte (no bit packing).
 
-Model graphs and precision plans are plain JSON documents.
+Model graphs, precision plans and array configs are plain JSON documents.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .qtypes import NumericType, QTensor, QuantScheme
 from .selector import ntype_from_json, ntype_to_json
 
@@ -54,19 +57,39 @@ def _require(doc, keys: tuple[str, ...], where: str) -> dict:
     return doc
 
 
+# Every JSON integer an input holds must lie in [-2**63, 2**63), so that
+# no arithmetic on it overflows a float.
+INT_BOUND = 1 << 63
+
+
+def _bounded(value: int, where: str) -> int:
+    if not -INT_BOUND <= value < INT_BOUND:
+        raise TensorIOError(f"{where}: integer out of range [-2**63, 2**63)")
+    return value
+
+
 def _require_int(doc: dict, key: str, where: str, default: int | None = None) -> int:
     """``doc[key]`` (``default`` if given and the key is absent) if it is a
-    JSON integer: null, true/false, a number with a fraction or exponent, a
-    string, a list or an object is malformed."""
+    JSON integer within the bound: null, true/false, a number with a
+    fraction or exponent, a string, a list or an object is malformed."""
     value = doc[key] if default is None else doc.get(key, default)
-    return _require_type(value, f"{where} {key}", int)
+    return _bounded(_require_type(value, f"{where} {key}", int), f"{where} {key}")
+
+
+def _require_number(value, where: str) -> int | float:
+    """``value`` if it is a JSON integer within the bound or a finite number."""
+    if type(_require_type(value, where, int, float)) is int:
+        return _bounded(value, where)
+    if not math.isfinite(value):
+        raise TensorIOError(f"{where}: expected a finite number, got {value}")
+    return value
 
 
 def _require_shape(header: dict, path: str) -> tuple[int, ...]:
     where = f"{path}: header shape"
     shape = tuple(_require_type(header["shape"], where, list))
     for dim in shape:
-        if _require_type(dim, where, int) < 0:
+        if _bounded(_require_type(dim, where, int), where) < 0:
             raise TensorIOError(f"{where}: negative dimension {dim}")
     return shape
 
@@ -145,9 +168,8 @@ def load_qtensor(path: str) -> QTensor:
     codes = np.frombuffer(payload, dtype=np.uint8)
     if codes.size and int(codes.max()) >= (1 << ntype.width):
         raise TensorIOError(f"{path}: code exceeds {ntype.width}-bit width")
-    scales = _require_type(header["scales"], f"{path}: header scales", list)
-    for v in scales:
-        _require_type(v, f"{path}: header scales", int, float)
+    scales = [_require_number(v, f"{path}: header scales")
+              for v in _require_type(header["scales"], f"{path}: header scales", list)]
     axis = _require_type(header.get("axis"), f"{path}: header axis", int, type(None))
     if axis is not None and not (0 <= axis < len(shape) and len(scales) == shape[axis]):
         raise TensorIOError(f"{path}: {len(scales)} scales along axis {axis} of shape {list(shape)}")
@@ -273,3 +295,38 @@ def plan_layer_types(layer: dict, where: str) -> tuple[NumericType, NumericType]
         selection = _require(_require(layer, (role,), where)[role], ("ntype",), f"{where} {role}")
         types.append(_load_ntype(selection["ntype"], f"{where} {role} ntype"))
     return tuple(types)
+
+
+# ---------------------------------------------------------------------------
+# Array configs
+# ---------------------------------------------------------------------------
+
+def _config_fields(doc, cls, where: str) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object: every
+    key names a field, and every value has the type its field is annotated
+    with (``float`` takes any JSON number)."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in _require_type(doc, where, dict).items():
+        if key not in types:
+            raise TensorIOError(f"{where}: unknown key {key!r}")
+        at = f"{where} {key}"
+        if types[key] == "float":
+            kwargs[key] = _require_number(value, at)
+        elif types[key] == "int":
+            kwargs[key] = _bounded(_require_type(value, at, int), at)
+        else:
+            kwargs[key] = _require_type(value, at, {"str": str, "EnergyTable": dict}[types[key]])
+    return kwargs
+
+
+def load_array_config(path: str) -> sim.ArrayConfig:
+    """An array config: a JSON object of ``ArrayConfig`` fields, any of them
+    left out taking its default, with ``energy`` an object of
+    ``EnergyTable`` costs."""
+    with open(path) as f:
+        kwargs = _config_fields(json.load(f), sim.ArrayConfig, f"{path}: config")
+    if "energy" in kwargs:
+        kwargs["energy"] = sim.EnergyTable(**_config_fields(kwargs["energy"], sim.EnergyTable,
+                                                            f"{path}: config energy"))
+    return sim.ArrayConfig(**kwargs)

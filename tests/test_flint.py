@@ -2,6 +2,7 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +79,17 @@ def test_encode_clamps_to_range():
     assert flint.decode_value(flint.encode(1e9, 4)) == 64
     assert flint.decode_value(flint.encode(-1e9, 4, 1.0, signed=True)) == -16
     assert flint.decode_value(flint.encode(-5.0, 4)) == 0  # unsigned floors at 0
+
+
+def test_round_half_away_arrays_match_floats():
+    # Arrays take an in-place path, floats a scalar one; both round ties
+    # away from zero, and 0.5 - 2**-54 rounds up because |x| + 0.5 does.
+    xs = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+          -0.49999999999999994, 0.4999999999999999, 2.0**52 + 1, -(2.0**52 + 1), 1e300, -1e300]
+    got = flint.round_half_away(np.array(xs))
+    assert got.tolist() == [float(flint.round_half_away(x)) for x in xs]
+    assert got.tolist() == [0, 0, 1, -1, 2, -2, 3, -3, 1, -1, 0, 2.0**52 + 2, -(2.0**52 + 2),
+                            1e300, -1e300]
 
 
 def test_encode_rejects_bad_scale():

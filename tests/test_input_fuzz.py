@@ -1,8 +1,9 @@
-"""Malformed input files: one field of a model, plan, tensor header or
-qtensor header is replaced by null, a string, a number with a fraction, a
-boolean, a list or an object, or dropped.  No exception may leave
-``cli.main``: every outcome is a documented exit code, and an integer field
-of any other type is a malformed input file (exit 3)."""
+"""Malformed input files: one field of a model, plan, array config, tensor
+header or qtensor header is replaced by null, a string, a number with a
+fraction, a boolean, a list, an object or an integer too large for a float,
+or dropped.  No exception may leave ``cli.main``: every outcome is a
+documented exit code, and an integer or number field of another type, or
+out of range, is a malformed input file (exit 3)."""
 
 import copy
 import json
@@ -14,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flintq import cli, tensor_io
+from flintq import cli, sim, tensor_io
 from flintq.qtypes import dequantize
 
 DROP = "<drop>"
-MUTATIONS = [None, "x", 2.5, True, [1], {"a": 1}, DROP]
+HUGE = 10**400  # a JSON integer too large for a float
+MUTATIONS = [None, "x", 2.5, True, [1], {"a": 1}, HUGE, DROP]
 
 CONV_DIMS = ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw", "stride", "pad")
 INT_FIELDS = {
@@ -27,14 +29,23 @@ INT_FIELDS = {
              ("layers", 0, "activationType", "ntype", "width")],
     "tensor": [("shape",), ("shape", 0)],
     "qtensor": [("shape",), ("shape", 0), ("ntype", "width")],
+    "config": [("n",), ("buffer_bytes",)],
 }
-FILES = {"model": "model.json", "plan": "plan.json", "tensor": "w0.bin", "qtensor": "w0.q"}
+# Fields that take any JSON number: only 2.5 among the mutations is valid.
+NUMBER_FIELDS = {
+    "qtensor": [("scales", 0)],
+    "config": [("dram_bandwidth_bits",)] + [("energy", k) for k in sim.ArrayConfig().to_json()["energy"]],
+}
+FILES = {"model": "model.json", "plan": "plan.json", "tensor": "w0.bin", "qtensor": "w0.q",
+         "config": "config.json"}
+JSON_DOCS = ("model", "plan", "config")
 
 
 @pytest.fixture(scope="module")
 def base_dir(tmp_path_factory):
     """A model (a gemm and a conv layer), the plan `select` writes for it,
-    its tensors and one qtensor, all valid."""
+    its tensors, one qtensor and an array config naming every field, all
+    valid."""
     d = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(0)
     layers = []
@@ -48,6 +59,7 @@ def base_dir(tmp_path_factory):
         layers.append({"layerId": f"l{i}", **dims, "weightTensor": f"w{i}.bin",
                        "calibrationActivations": [f"a{i}.bin"]})
     (d / "model.json").write_text(json.dumps({"layers": layers}))
+    (d / "config.json").write_text(json.dumps({**sim.ArrayConfig().to_json(), "n": 32}))
     assert cli.main(["select", str(d / "model.json"), "--threshold", "0",
                      "--promote-budget", "1", "--out", str(d / "plan.json")]) == 0
     assert cli.main(["quantize", str(d / "w0.bin"), "--type", "flint", "--signed",
@@ -58,7 +70,7 @@ def base_dir(tmp_path_factory):
 def _read(path: str, kind: str):
     """The document and, for tensor files, the payload after the header."""
     with open(path, "rb") as f:
-        if kind in ("model", "plan"):
+        if kind in JSON_DOCS:
             return json.load(f), b""
         return json.loads(f.readline()), f.read()
 
@@ -94,7 +106,8 @@ def _run(base: str, kind: str, path, value, capsys) -> int:
         text = json.dumps(_mutated(doc, path, value))
         with open(target, "wb") as f:
             f.write(text.encode() + (b"\n" + payload if kind in ("tensor", "qtensor") else b""))
-        model, plan, out = (os.path.join(d, n) for n in ("model.json", "plan.json", "r"))
+        model, plan, config, out = (os.path.join(d, n) for n in
+                                    ("model.json", "plan.json", "config.json", "r"))
         if kind == "qtensor":  # no command reads a qtensor; the library call must map its failure
             try:
                 dequantize(tensor_io.load_qtensor(target))
@@ -105,6 +118,7 @@ def _run(base: str, kind: str, path, value, capsys) -> int:
             "model": [["simulate", model, plan, "--out", out], ["select", model, "--out", plan]],
             "plan": [["simulate", model, plan, "--out", out]],
             "tensor": [["quantize", target, "--type", "int", "--signed", "--out", out]],
+            "config": [["simulate", model, plan, "--config", config, "--out", out]],
         }[kind]
         capsys.readouterr()
         for argv in runs:
@@ -116,16 +130,43 @@ def _run(base: str, kind: str, path, value, capsys) -> int:
         return 0
 
 
-def _int_cases():
-    for kind, fields in INT_FIELDS.items():
+def _cases(table, values):
+    for kind, fields in table.items():
         for path in fields:
-            for value in MUTATIONS[:-1]:
-                yield pytest.param(kind, path, value, id=f"{kind}-{'.'.join(map(str, path))}-{value}")
+            for value in values:
+                name = "1e400" if value is HUGE else value
+                yield pytest.param(kind, path, value, id=f"{kind}-{'.'.join(map(str, path))}-{name}")
 
 
-@pytest.mark.parametrize("kind, path, value", _int_cases())
+@pytest.mark.parametrize("kind, path, value", _cases(INT_FIELDS, MUTATIONS[:-1]))
 def test_integer_field_of_another_type_exits_3(base_dir, capsys, kind, path, value):
     assert _run(base_dir, kind, path, value, capsys) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("kind, path, value",
+                         _cases(NUMBER_FIELDS, [v for v in MUTATIONS[:-1] if v != 2.5]))
+def test_number_field_of_another_type_exits_3(base_dir, capsys, kind, path, value):
+    assert _run(base_dir, kind, path, value, capsys) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"n": "64"}', "n"), ('{"n": null}', "n"), ('{"nn": 64}', "nn"),
+    ('{"dram_bandwidth_bits": "x"}', "dram_bandwidth_bits"), ('{"energy": {"x": 1}}', "x"),
+    ('{"energy": null}', "energy"), ("[1]", "config"),
+    ('{"energy": {"dram_per_bit": %d}}' % HUGE, "dram_per_bit"), ('{"n": %d}' % 2**63, "n"),
+    ('{"dram_bandwidth_bits": NaN}', "dram_bandwidth_bits"),
+])
+def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
+    config = tmp_path / "array.json"
+    config.write_text(doc)
+    capsys.readouterr()
+    rc = cli.main(["simulate", os.path.join(base_dir, "model.json"),
+                   os.path.join(base_dir, "plan.json"), "--config", str(config),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT and err.count("\n") == 1, err
+    head, _, tail = err.partition(str(config))
+    assert head == "error: " and key in tail, err
 
 
 def _get(doc, path):
@@ -151,4 +192,6 @@ def test_any_malformed_field_exits_with_a_documented_code(base_dir, capsys, data
     rc = _run(base_dir, kind, path, value, capsys)
     assert rc in (0, cli.EXIT_INPUT, cli.EXIT_VALIDATION, cli.EXIT_PLAN_MISMATCH)
     if path in INT_FIELDS[kind] and value != DROP:
+        assert rc == cli.EXIT_INPUT
+    if path in NUMBER_FIELDS.get(kind, ()) and value not in (2.5, DROP):
         assert rc == cli.EXIT_INPUT

@@ -127,6 +127,11 @@ def test_float_subnormals():
     assert lut[4] == 1.0  # first normal
 
 
+def test_float_split_fields_must_not_be_negative():
+    with pytest.raises(QuantizationError):
+        NumericType("float", 4, signed=True, float_split=(5, -2))
+
+
 def test_int8_always_available():
     t = NumericType("int", 8, signed=True)
     assert t.grid()[0] == -128 and t.grid()[-1] == 127
@@ -148,24 +153,174 @@ def test_code_tables_are_read_only():
             table[0] = 1.0
 
 
+# ---------------------------------------------------------------------------
+# Reference quantizers: the per-kind arithmetic that quantize ran before it
+# read the threshold tables, kept here as an oracle independent of the tables
+# (the way test_selector keeps the plain sweep).  Input already divided by
+# the scale; each returns codes.
+# ---------------------------------------------------------------------------
+
+def _ref_round_half_away(x):
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _ref_quant_int(v, t):
+    if t.signed:
+        lo, hi = -(1 << (t.width - 1)), (1 << (t.width - 1)) - 1
+    else:
+        lo, hi = 0, (1 << t.width) - 1
+    q = np.clip(_ref_round_half_away(v), lo, hi).astype(np.int64)
+    return (q & ((1 << t.width) - 1)).astype(np.uint8)
+
+
+def _ref_quant_pot(v, t):
+    mag_width = t.width - 1 if t.signed else t.width
+    kmax = (1 << mag_width) - 2  # largest exponent, code kmax+1
+    mag = np.abs(v)
+    with np.errstate(divide="ignore"):
+        k = np.clip(_ref_round_half_away(np.log2(np.where(mag > 0, mag, 1.0))), 0, kmax)
+    code = np.where(mag < 0.5, 0, k + 1).astype(np.int64)
+    if t.signed:
+        code = np.where((v < 0) & (code > 0), code | (1 << (t.width - 1)), code)
+    return code.astype(np.uint8)
+
+
+def _ref_quant_flint(v, t):
+    b = t.width
+    mag_width = b - 1 if t.signed else b
+    q = _ref_round_half_away(v)
+    if not t.signed:
+        q = np.maximum(q, 0.0)
+    neg = q < 0
+    a = np.minimum(np.abs(q), float(1 << (2 * mag_width - 2)))
+    _, i = np.frexp(a)  # interval index floor(log2 a) + 1, exact for integer a
+    i = i.astype(np.int64)
+    mb_lut = np.array([0] + [flint.mantissa_width(mag_width, j) for j in range(1, 2 * mag_width)])
+    base_lut = np.array([0] + [
+        int(flint.exponent_code(mag_width, j), 2) << flint.mantissa_width(mag_width, j)
+        for j in range(1, 2 * mag_width)
+    ])
+    mb = mb_lut[i]
+    m = np.floor((a / np.exp2(i - 1.0) - 1.0) * np.exp2(mb.astype(np.float64)) + 0.5).astype(np.int64)
+    carry = m == (1 << mb)
+    i = np.where(carry, i + 1, i)
+    m = np.where(carry, 0, m)
+    code = np.where(a == 0, 0, base_lut[i] + m)
+    if t.signed:
+        code = np.where(neg & (code > 0), code | (1 << (b - 1)), code)
+    return code.astype(np.uint8)
+
+
+def _ref_quant_float(v, t):
+    """Nearest representable value, ties away from zero."""
+    values = t.code_values()
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    idx = np.clip(np.searchsorted(sorted_vals, v), 1, len(sorted_vals) - 1)
+    left, right = sorted_vals[idx - 1], sorted_vals[idx]
+    d_left, d_right = np.abs(v - left), np.abs(v - right)
+    take_right = (d_right < d_left) | ((d_right == d_left) & (np.abs(right) >= np.abs(left)))
+    return order[np.where(take_right, idx, idx - 1)].astype(np.uint8)
+
+
+_REF_QUANT = {"int": _ref_quant_int, "pot": _ref_quant_pot, "flint": _ref_quant_flint,
+              "float": _ref_quant_float}
+
+
+def _ref_codes(u, t):
+    """Reference codes with one documented change: every input in the zero
+    cell gets code 0.  The float reference gave positive inputs there the
+    sign-bit code of -0 (a stable argsort over +-0)."""
+    codes = _REF_QUANT[t.kind](u, t)
+    zero = t.code_values()[codes] == 0
+    if t.kind != "float":
+        assert np.all(codes[zero] == 0)
+    return np.where(zero, 0, codes).astype(np.uint8)
+
+
 ALL_TYPES = [NumericType(k, w, s) for k in KINDS for w in range(3, 9) for s in (False, True)]
 
 
 @pytest.mark.parametrize("ntype", ALL_TYPES, ids=lambda t: t.name)
 def test_thresholds_match_quantizer(ntype):
-    # Each threshold is the first float64 that quantizes above the grid
-    # value below it: its lower neighbour still lands on grid[k], it and
-    # its upper neighbour on grid[k + 1].
+    # Each threshold is the first float64 that the reference quantizer maps
+    # above the grid value below it: its lower neighbour still lands on
+    # grid[k], it and its upper neighbour on grid[k + 1].  quantize and
+    # fake_quantize agree with the reference there and at random points.
     thr, grid = ntype.thresholds(), ntype.grid()
     assert thr.size == grid.size - 1 and np.all(np.diff(thr) > 0)
-    deq = lambda u: dequantize(quantize(u, per_tensor(ntype, 1.0)))  # noqa: E731
-    assert np.array_equal(deq(np.nextafter(thr, -np.inf)), grid[:-1])
-    assert np.array_equal(deq(thr), grid[1:])
-    assert np.array_equal(deq(np.nextafter(thr, np.inf)), grid[1:])
-    # Anywhere else the table lookup agrees with the quantizer.
     top = 1.2 * grid[-1]
-    u = np.random.default_rng(ntype.width).uniform(-top if ntype.signed else 0.0, top, 5000)
-    assert np.array_equal(deq(u), grid[np.searchsorted(thr, u, side="right")])
+    rand = np.random.default_rng(ntype.width).uniform(-top if ntype.signed else 0.0, top, 5000)
+    for u, want in ((np.nextafter(thr, -np.inf), grid[:-1]), (thr, grid[1:]),
+                    (np.nextafter(thr, np.inf), grid[1:]), (rand, None)):
+        codes = _ref_codes(u, ntype)
+        values = ntype.code_values()[codes]
+        if want is not None:
+            assert np.array_equal(values, want)
+        scheme = per_tensor(ntype, 1.0)
+        assert quantize(u, scheme).codes.tobytes() == codes.tobytes()
+        assert fake_quantize(u, scheme).tobytes() == values.tobytes()
+        if ntype.kind == "flint":
+            scalar = [flint.encode(float(x), ntype.width, 1.0, ntype.signed).bits for x in u]
+            assert codes.tolist() == scalar
+        if ntype.kind == "int":  # the closed form must agree with the table too
+            assert np.array_equal(values, grid[np.searchsorted(thr, u, side="right")])
+
+
+@pytest.mark.parametrize("ntype", ALL_TYPES, ids=lambda t: t.name)
+def test_overflowing_quotient_lands_on_end_cells(ntype):
+    # v / scale overflows to +-inf: the top cell, or the bottom one if signed.
+    v = np.array([1e308, -1e308] if ntype.signed else [1e308])
+    scheme = per_tensor(ntype, 1e-300)
+    want = ntype.grid()[[-1, 0]][:v.size]
+    assert np.array_equal(ntype.code_values()[quantize(v, scheme).codes], want)
+    assert np.array_equal(fake_quantize(v, scheme), want * 1e-300)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_cell_gets_code_zero_and_positive_zero(kind):
+    ntype = NumericType(kind, 4, signed=True)
+    grid = ntype.grid()
+    assert not np.any(np.signbit(grid[grid == 0]))
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3, 0.1, -0.1])
+    q = quantize(tiny, per_tensor(ntype, 1.0))
+    assert q.codes.tolist() == [0] * tiny.size
+    assert not np.any(np.signbit(fake_quantize(tiny, per_tensor(ntype, 1.0))))
+    if kind == "float":  # the documented change: the reference gave +0.1 code 8 (-0)
+        assert _REF_QUANT["float"](np.array([0.1]), ntype).tolist() == [8]
+
+
+@pytest.mark.parametrize("ntype", [NumericType(k, w, s) for k in KINDS for w in (4, 8)
+                                   for s in (True, False)], ids=lambda t: t.name)
+def test_fake_quantize_is_quantize_then_dequantize_bit_for_bit(ntype):
+    rng = np.random.default_rng([ntype.width, KINDS.index(ntype.kind)])
+    t = rng.laplace(size=(6, 50)) * 10.0 ** rng.uniform(-4, 1, size=(6, 50))
+    t[:, :5] = [0.0, -0.0, 5e-324, -5e-324, 1e-9]
+    t = t if ntype.signed else np.abs(t)
+    for scheme in (per_tensor(ntype, 0.3), QuantScheme(ntype, 10.0 ** rng.uniform(-2, 1, 6), axis=0)):
+        assert fake_quantize(t, scheme).tobytes() == dequantize(quantize(t, scheme)).tobytes()
+    scalar = np.float64(0.7)
+    assert fake_quantize(scalar, per_tensor(ntype, 0.3)).shape == ()
+    assert quantize(scalar, per_tensor(ntype, 0.3)).shape == ()
+
+
+def test_rounding_rules_are_off_the_quantize_path(monkeypatch):
+    # With the tables built, quantize and fake_quantize never call the pot,
+    # flint or float rounding rule.
+    types = [NumericType(k, w, s) for k in KINDS for w in (3, 4, 8) for s in (False, True)]
+    for ntype in types:
+        ntype.thresholds()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rounding rule called on the quantize path")
+
+    for owner, name in ((qtypes, "_quant_pot"), (qtypes, "_quant_grid_nearest"), (flint, "encode")):
+        monkeypatch.setattr(owner, name, boom)
+    t = np.abs(np.random.default_rng(0).normal(size=(3, 40)))
+    for ntype in types:
+        for scheme in (per_tensor(ntype, 0.1), QuantScheme(ntype, np.array([0.1, 0.2, 0.3]), axis=0)):
+            quantize(t, scheme)
+            fake_quantize(t, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +344,12 @@ def test_per_channel_scale_count_checked():
 
 # quantize/dequantize broadcast the scales along the axis; the reference
 # takes one slice at a time, divides or multiplies by its scale and runs the
-# kind's quantizer, so both must agree bit for bit.
+# kind's reference quantizer, so both must agree bit for bit.
 def _sliced_reference(t, scheme):
     codes, values = np.zeros(t.shape, dtype=np.uint8), np.zeros(t.shape)
     for c, scale in enumerate(scheme.scales):
         sel = tuple(c if i == scheme.axis else slice(None) for i in range(t.ndim))
-        codes[sel] = qtypes._QUANT_FNS[scheme.ntype.kind](t[sel] / scale, scheme.ntype)
+        codes[sel] = _ref_codes(t[sel] / scale, scheme.ntype)
         values[sel] = scheme.ntype.code_values()[codes[sel]]
         values[sel] *= scale
     return codes, values

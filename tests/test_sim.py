@@ -99,6 +99,12 @@ def test_bandwidth_bound_layer():
     assert rep.cycles == math.ceil(rep.dram_bits / 1)
 
 
+def test_dram_cycles_overflowing_a_float_rejected():
+    # A positive but subnormal bandwidth makes bits / bandwidth infinite.
+    with pytest.raises(sim.SimConfigError, match="overflow"):
+        sim.simulate_layer(sim.ArrayConfig(dram_bandwidth_bits=1e-320), layer(64, 64, 64))
+
+
 def test_zero_dim_layer_is_free():
     rep = sim.simulate_layer(OS, layer(0, 64, 64))
     assert rep.cycles == 0 and rep.total_energy() == 0.0
