@@ -7,7 +7,7 @@ tool version, input digests).
 Exit codes:
   0  success
   2  usage error (bad flags)
-  3  missing or malformed input file
+  3  missing, unreadable or malformed input file, or unwritable output path
   4  validation error (shapes, types, configuration)
   5  plan/model mismatch
   6  verification failure
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 
@@ -58,13 +57,6 @@ def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
         "version": __version__,
         "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
     }
-
-
-def _workers() -> int:
-    env = os.environ.get("ANT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _parse_ntype(args: argparse.Namespace) -> NumericType:
@@ -152,7 +144,6 @@ def cmd_select(args: argparse.Namespace) -> int:
         candidates,
         threshold=args.threshold,
         max_promotions=args.promote_budget,
-        workers=_workers(),
     )
     inputs = [args.model] + [l.weight_path for l in graph]
     doc = plan.to_json()
@@ -169,11 +160,7 @@ def _write_mse_csv(path: str, plan) -> None:
     """Per-tensor candidate MSEs, normalized to the flint candidate."""
     rows = []
     for layer in plan.layers:
-        pairs = (
-            ("weight", layer.weight_4bit or layer.weight),
-            ("activation", layer.activation_4bit or layer.activation),
-        )
-        for role, sel in pairs:
+        for role, sel in (("weight", layer.weight_4bit), ("activation", layer.activation_4bit)):
             ref = next(
                 (v for k, v in sel.per_candidate_mse.items() if "flint" in k), None
             )
@@ -291,13 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, tensor_io.TensorIOError, json.JSONDecodeError) as exc:
+    except (OSError, tensor_io.TensorIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except PlanMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PLAN_MISMATCH
     except (QuantizationError, flint.FlintDomainError, sim.SimConfigError, ValueError) as exc:
-        if isinstance(exc, PlanMismatchError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PLAN_MISMATCH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -119,12 +119,6 @@ def round_half_away(x):
     return np.copysign(r, x, out=r)
 
 
-def max_magnitude(b: int, signed: bool = False) -> int:
-    """Largest representable magnitude: 2^(2m-2) with m the magnitude width."""
-    m = b - 1 if signed else b
-    return 1 << (2 * m - 2)
-
-
 def _encode_magnitude(q: int, b: int) -> int:
     """Encode an already-quantized integer magnitude q in [0, 2^(2b-2)]."""
     if q == 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flint
-from .qtypes import NumericType, QTensor, QuantizationError
+from .qtypes import NumericType, QuantizationError
 
 
 class DatapathError(ArithmeticError):
@@ -120,33 +120,3 @@ def mul8_via_four(a, b, signed: bool = True):
         for x, y in ((a_hi, b_hi), (a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo))
     ]
     return sum(partials)  # the extra adder tree
-
-
-def dot_product(
-    codes_a: np.ndarray,
-    codes_b: np.ndarray,
-    type_a: NumericType,
-    type_b: NumericType,
-    scale_a: float,
-    scale_b: float,
-    state: MacState | None = None,
-) -> tuple[float, MacState]:
-    """Integer-domain dot product of two code vectors, scaled once at the end."""
-    codes_a = np.asarray(codes_a).ravel()
-    codes_b = np.asarray(codes_b).ravel()
-    if codes_a.size != codes_b.size:
-        raise QuantizationError("dot product operands must have equal length")
-    state = state or MacState()
-    for ca, cb in zip(codes_a.tolist(), codes_b.tolist()):
-        state = mac_step(state, decode_operand(ca, type_a), decode_operand(cb, type_b))
-    return state.accumulator * scale_a * scale_b, state
-
-
-def qtensor_row_dot(qa: QTensor, qb: QTensor, state: MacState | None = None) -> tuple[float, MacState]:
-    """Dot product of two per-tensor-scaled quantized vectors."""
-    if qa.scheme.axis is not None or qb.scheme.axis is not None:
-        raise QuantizationError("row dot expects per-tensor schemes")
-    return dot_product(
-        qa.codes, qb.codes, qa.scheme.ntype, qb.scheme.ntype,
-        float(qa.scheme.scales[0]), float(qb.scheme.scales[0]), state,
-    )

@@ -10,7 +10,8 @@ MSE) to 8-bit int until a quality oracle is satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -212,8 +213,6 @@ def select_type(
     t: np.ndarray,
     candidates: Sequence[NumericType],
     axis: int | None = None,
-    steps: int = DEFAULT_SWEEP_STEPS,
-    min_ratio: float = DEFAULT_MIN_CLIP_RATIO,
 ) -> SelectionResult:
     """Pick the candidate type with the lowest quantization MSE.
 
@@ -228,7 +227,7 @@ def select_type(
     best = None
     per_mse: dict[str, float] = {}
     for cand in effective:
-        scheme, err, degenerate = argmin_mse_scale(t, cand, axis, steps, min_ratio)
+        scheme, err, degenerate = argmin_mse_scale(t, cand, axis)
         per_mse[cand.name] = err
         if best is None or err < best.mse_value:
             best = SelectionResult(cand, scheme, err, per_mse, degenerate)
@@ -264,13 +263,27 @@ class LayerTensors:
 
 @dataclass
 class LayerPlan:
+    """A layer's 4-bit selections, and its int8 (weight, activation) pair
+    once the layer is promoted; the width and the selections in force
+    follow from whether that pair is set."""
+
     layer_id: str
-    width: int  # 4 or 8
-    weight: SelectionResult
-    activation: SelectionResult
+    weight_4bit: SelectionResult
+    activation_4bit: SelectionResult
     normalized_mse: float  # at 4 bits, used for promotion ordering
-    weight_4bit: SelectionResult | None = None
-    activation_4bit: SelectionResult | None = None
+    int8: tuple[SelectionResult, SelectionResult] | None = None
+
+    @property
+    def width(self) -> int:
+        return 4 if self.int8 is None else 8
+
+    @property
+    def weight(self) -> SelectionResult:
+        return self.weight_4bit if self.int8 is None else self.int8[0]
+
+    @property
+    def activation(self) -> SelectionResult:
+        return self.activation_4bit if self.int8 is None else self.int8[1]
 
     def to_json(self) -> dict:
         doc = {
@@ -280,7 +293,7 @@ class LayerPlan:
             "activationType": self.activation.to_json(),
             "normalizedMse": self.normalized_mse,
         }
-        if self.width == 8 and self.weight_4bit is not None:
+        if self.int8 is not None:
             doc["fourBitCandidates"] = {
                 "weight": self.weight_4bit.per_candidate_mse,
                 "activation": self.activation_4bit.per_candidate_mse,
@@ -311,25 +324,20 @@ def _select_layer(
     layer: LayerTensors,
     candidates: Sequence[NumericType],
     width: int,
-    steps: int,
-    min_ratio: float,
 ) -> tuple[SelectionResult, SelectionResult, float]:
     if width == 8:
-        w_scheme, w_err, w_deg = argmin_mse_scale(layer.weight, INT8, layer.weight_axis, steps, min_ratio)
+        w_scheme, w_err, w_deg = argmin_mse_scale(layer.weight, INT8, layer.weight_axis)
         a_type = INT8 if float(np.min(layer.activation)) < 0 else NumericType("int", 8, signed=False)
-        a_scheme, a_err, a_deg = argmin_mse_scale(layer.activation, a_type, None, steps, min_ratio)
+        a_scheme, a_err, a_deg = argmin_mse_scale(layer.activation, a_type)
         w_sel = SelectionResult(INT8, w_scheme, w_err, {INT8.name: w_err}, w_deg)
         a_sel = SelectionResult(a_type, a_scheme, a_err, {a_type.name: a_err}, a_deg)
     else:
         act_candidates = list(candidates)
         if float(np.min(layer.activation)) >= 0:
             # Post-ReLU style tensors get the unsigned variants.
-            act_candidates = [
-                NumericType(c.kind, c.width, signed=False, float_split=None if c.kind != "float" else None)
-                for c in candidates
-            ]
-        w_sel = select_type(layer.weight, candidates, layer.weight_axis, steps, min_ratio)
-        a_sel = select_type(layer.activation, act_candidates, None, steps, min_ratio)
+            act_candidates = [NumericType(c.kind, c.width, signed=False) for c in candidates]
+        w_sel = select_type(layer.weight, candidates, layer.weight_axis)
+        a_sel = select_type(layer.activation, act_candidates)
     nmse = _normalized_mse(layer.weight, w_sel.mse_value) + _normalized_mse(
         layer.activation, a_sel.mse_value
     )
@@ -342,9 +350,6 @@ def plan_mixed_precision(
     oracle: Callable[[PrecisionPlan], float] | None = None,
     threshold: float = np.inf,
     max_promotions: int | None = None,
-    steps: int = DEFAULT_SWEEP_STEPS,
-    min_ratio: float = DEFAULT_MIN_CLIP_RATIO,
-    workers: int | None = None,
 ) -> PrecisionPlan:
     """Layer-wise 4/8-bit assignment by greedy promotion.
 
@@ -355,44 +360,32 @@ def plan_mixed_precision(
     layer at 8 bits the loop always terminates.
     """
     candidates = list(candidates) if candidates is not None else make_candidates()
-    select4 = lambda l: _select_layer(l, candidates, 4, steps, min_ratio)  # noqa: E731
-    if workers and workers > 1 and len(layers) > 1:
-        # Per-layer selection is independent; results are keyed by layer id,
-        # so the outcome does not depend on the worker count.
-        from concurrent.futures import ThreadPoolExecutor
+    # Per-layer selection is independent and map keeps the layer order, so
+    # the plan does not depend on the thread count.  Imported here: the
+    # module pulls in logging, which every start-up would pay for.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            low = dict(zip((l.layer_id for l in layers), pool.map(select4, layers)))
-    else:
-        low = {l.layer_id: select4(l) for l in layers}
-    high = {}  # 8-bit selections, made only for the layers the loop promotes
-
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        low = pool.map(lambda l: _select_layer(l, candidates, 4), layers)
+        plans = [LayerPlan(l.layer_id, *sel) for l, sel in zip(layers, low)]
+    # Each layer's share of the aggregate: its 4-bit one, its 8-bit one once promoted.
+    terms = [p.normalized_mse for p in plans]
     promoted: list[str] = []
 
     def build() -> PrecisionPlan:
-        entries = []
         total = 0.0
-        for layer in layers:
-            w4, a4, nmse4 = low[layer.layer_id]
-            if layer.layer_id in promoted:
-                (w, a, nmse), width = high[layer.layer_id], 8
-            else:
-                w, a, nmse, width = w4, a4, nmse4, 4
-            total += nmse
-            entries.append(
-                LayerPlan(layer.layer_id, width, w, a, nmse4, weight_4bit=w4, activation_4bit=a4)
-            )
-        return PrecisionPlan(entries, total, list(promoted))
+        for term in terms:
+            total += term
+        return PrecisionPlan(list(plans), total, list(promoted))
 
     quality = oracle or (lambda plan: plan.aggregate_mse)
     plan = build()
     limit = len(layers) if max_promotions is None else min(max_promotions, len(layers))
     while quality(plan) > threshold and len(promoted) < limit:
-        remaining = [l for l in layers if l.layer_id not in promoted]
-        if not remaining:
-            break
-        worst = max(remaining, key=lambda l: low[l.layer_id][2])
-        high[worst.layer_id] = _select_layer(worst, candidates, 8, steps, min_ratio)
-        promoted.append(worst.layer_id)
+        worst = max((i for i, p in enumerate(plans) if p.int8 is None),
+                    key=lambda i: plans[i].normalized_mse)
+        w, a, terms[worst] = _select_layer(layers[worst], candidates, 8)
+        plans[worst] = replace(plans[worst], int8=(w, a))
+        promoted.append(plans[worst].layer_id)
         plan = build()
     return plan

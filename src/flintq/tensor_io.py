@@ -117,6 +117,17 @@ def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
     return _require(header, keys, f"{path}: header")
 
 
+def _load_json(path: str):
+    """A JSON document file; bytes that are not UTF-8 or not JSON are a
+    malformed input file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TensorIOError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def save_tensor(path: str, t: np.ndarray, name: str = "") -> None:
     t = np.ascontiguousarray(t, dtype="<f4")
     header = {"name": name, "shape": list(t.shape), "dtype": "f32", "byteOrder": "little"}
@@ -256,8 +267,7 @@ def _layer_from_json(d, path: str) -> GraphLayer:
 
 
 def load_model_graph(path: str) -> list[GraphLayer]:
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _load_json(path)
     layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
     layers = [_layer_from_json(d, path)
               for d in _require_type(layers_doc, f"{path}: layers", list)]
@@ -279,8 +289,7 @@ def save_plan(path: str, plan_json: dict) -> None:
 
 
 def load_plan(path: str) -> dict:
-    with open(path) as f:
-        doc = _require(json.load(f), ("layers",), path)
+    doc = _require(_load_json(path), ("layers",), path)
     for layer in _require_type(doc["layers"], f"{path}: layers", list):
         _require(layer, ("layerId", "width"), f"{path}: plan layer")
         _require_type(layer["layerId"], f"{path}: plan layer layerId", str)
@@ -324,8 +333,7 @@ def load_array_config(path: str) -> sim.ArrayConfig:
     """An array config: a JSON object of ``ArrayConfig`` fields, any of them
     left out taking its default, with ``energy`` an object of
     ``EnergyTable`` costs."""
-    with open(path) as f:
-        kwargs = _config_fields(json.load(f), sim.ArrayConfig, f"{path}: config")
+    kwargs = _config_fields(_load_json(path), sim.ArrayConfig, f"{path}: config")
     if "energy" in kwargs:
         kwargs["energy"] = sim.EnergyTable(**_config_fields(kwargs["energy"], sim.EnergyTable,
                                                             f"{path}: config energy"))

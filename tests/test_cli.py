@@ -164,17 +164,6 @@ def test_select_mse_csv(tmp_path):
     assert len(chosen) == 4
 
 
-def test_select_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANT_THREADS", "1")
-    rc1, _, plan1 = run_select(tmp_path)
-    doc1 = tensor_io.load_plan(plan1)
-    monkeypatch.setenv("ANT_THREADS", "4")
-    rc2, _, plan2 = run_select(tmp_path)
-    doc2 = tensor_io.load_plan(plan2)
-    assert rc1 == rc2 == 0
-    assert doc1["layers"] == doc2["layers"]  # worker count never changes output
-
-
 def test_select_missing_model_exits_3(tmp_path):
     rc = cli.main(["select", str(tmp_path / "no.json"), "--out", str(tmp_path / "p")])
     assert rc == cli.EXIT_INPUT

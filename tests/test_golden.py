@@ -72,9 +72,9 @@ def select_outputs(out_dir) -> tuple[str, bytes]:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n", f.read()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_select_reproduces_golden_plan_and_mse_csv(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("ANT_THREADS", threads)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_select_reproduces_golden_plan_and_mse_csv(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)  # the selection pool's size
     plan_text, csv_bytes = select_outputs(str(tmp_path))
     with open(GOLDEN_PLAN) as f:
         assert plan_text == f.read()

@@ -106,28 +106,35 @@ def _run(base: str, kind: str, path, value, capsys) -> int:
         text = json.dumps(_mutated(doc, path, value))
         with open(target, "wb") as f:
             f.write(text.encode() + (b"\n" + payload if kind in ("tensor", "qtensor") else b""))
-        model, plan, config, out = (os.path.join(d, n) for n in
-                                    ("model.json", "plan.json", "config.json", "r"))
         if kind == "qtensor":  # no command reads a qtensor; the library call must map its failure
             try:
                 dequantize(tensor_io.load_qtensor(target))
             except ValueError as exc:  # what cli.main maps to exit 3 or 4
                 return cli.EXIT_INPUT if isinstance(exc, tensor_io.TensorIOError) else cli.EXIT_VALIDATION
             return 0
-        runs = {
-            "model": [["simulate", model, plan, "--out", out], ["select", model, "--out", plan]],
-            "plan": [["simulate", model, plan, "--out", out]],
-            "tensor": [["quantize", target, "--type", "int", "--signed", "--out", out]],
-            "config": [["simulate", model, plan, "--config", config, "--out", out]],
-        }[kind]
-        capsys.readouterr()
-        for argv in runs:
-            rc = cli.main(argv)
-            err = capsys.readouterr().err
-            if rc:
-                assert err.startswith("error: ") and err.count("\n") == 1, err
-                return rc
-        return 0
+        return _run_commands(d, kind, capsys)
+
+
+def _run_commands(d: str, kind: str, capsys) -> int:
+    """Run the commands that read the ``kind`` file of directory ``d``;
+    return the first failure's exit code, which must come with one
+    ``error:`` line, or 0."""
+    model, plan, config, tensor, out = (os.path.join(d, n) for n in
+                                        ("model.json", "plan.json", "config.json", "w0.bin", "r"))
+    runs = {
+        "model": [["simulate", model, plan, "--out", out], ["select", model, "--out", plan]],
+        "plan": [["simulate", model, plan, "--out", out]],
+        "tensor": [["quantize", tensor, "--type", "int", "--signed", "--out", out]],
+        "config": [["simulate", model, plan, "--config", config, "--out", out]],
+    }[kind]
+    capsys.readouterr()
+    for argv in runs:
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return rc
+    return 0
 
 
 def _cases(table, values):
@@ -167,6 +174,39 @@ def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
     assert rc == cli.EXIT_INPUT and err.count("\n") == 1, err
     head, _, tail = err.partition(str(config))
     assert head == "error: " and key in tail, err
+
+
+@pytest.mark.parametrize("kind", ["model", "plan", "config", "tensor"])
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "non-utf8"])
+def test_unreadable_input_file_exits_3(base_dir, capsys, tmp_path, kind, content):
+    """A directory, or a byte that is not UTF-8, in place of an input file."""
+    d = str(tmp_path / "in")
+    shutil.copytree(base_dir, d)
+    target = os.path.join(d, FILES[kind])
+    os.remove(target)
+    if content is None:
+        os.mkdir(target)
+    else:
+        with open(target, "wb") as f:
+            f.write(content)
+    assert _run_commands(d, kind, capsys) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["quantize", "select", "simulate"])
+def test_output_path_that_is_a_directory_exits_3(base_dir, capsys, tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "out.json").mkdir()  # simulate writes <prefix>.json
+    model, plan = os.path.join(base_dir, "model.json"), os.path.join(base_dir, "plan.json")
+    argv = {
+        "quantize": ["quantize", os.path.join(base_dir, "w0.bin"), "--type", "int", "--signed"],
+        "select": ["select", model],
+        "simulate": ["simulate", model, plan],
+    }[command]
+    capsys.readouterr()
+    rc = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _get(doc, path):

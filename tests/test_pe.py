@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from flintq import pe
 from flintq.flint import DecodedPair
-from flintq.qtypes import NumericType, QuantScheme, QuantizationError, dequantize, quantize
+from flintq.qtypes import NumericType, QuantizationError
 
 TYPES4 = {
     "int": NumericType("int", 4, signed=True),
@@ -216,52 +216,3 @@ def test_mul8_uses_only_mac_steps(monkeypatch):
     for a, b in calls:
         assert -8 <= a.base <= 15 and -8 <= b.base <= 15
 
-
-# ---------------------------------------------------------------------------
-# dot products
-# ---------------------------------------------------------------------------
-
-@given(
-    data=st.data(),
-    ka=st.sampled_from(sorted(TYPES4)),
-    kb=st.sampled_from(sorted(TYPES4)),
-)
-def test_dot_product_matches_dequantized(data, ka, kb):
-    n = data.draw(st.integers(1, 32))
-    codes_a = np.array(data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
-    codes_b = np.array(data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
-    ta, tb = TYPES4[ka], TYPES4[kb]
-    out, state = pe.dot_product(codes_a, codes_b, ta, tb, 0.5, 0.25, state=WIDE)
-    ref = float(np.dot(ta.code_values()[codes_a] * 0.5, tb.code_values()[codes_b] * 0.25))
-    assert out == pytest.approx(ref)
-    assert not state.overflowed
-
-
-def test_dot_product_mixed_types_example():
-    # flint weights times pot activations, a supported fusion.
-    ta, tb = TYPES4["flint"], TYPES4["pot"]
-    out, _ = pe.dot_product([0b0111, 0b1111], [0b0011, 0b0001], ta, tb, 1.0, 1.0, WIDE)
-    assert out == 6 * 4 + (-6) * 1
-
-
-def test_dot_product_length_mismatch():
-    with pytest.raises(QuantizationError):
-        pe.dot_product([1], [1, 2], TYPES4["int"], TYPES4["int"], 1.0, 1.0)
-
-
-def test_qtensor_row_dot_matches_float_dot():
-    rng = np.random.default_rng(11)
-    w = rng.normal(size=64)
-    x = rng.normal(size=64)
-    qw = quantize(w, QuantScheme(TYPES4["flint"], np.array([0.3])))
-    qx = quantize(x, QuantScheme(TYPES4["int"], np.array([0.2])))
-    out, _ = pe.qtensor_row_dot(qw, qx, state=WIDE)
-    assert out == pytest.approx(float(np.dot(dequantize(qw), dequantize(qx))))
-
-
-def test_qtensor_row_dot_rejects_per_channel():
-    q = quantize(
-        np.ones((2, 2)), QuantScheme(TYPES4["int"], np.array([1.0, 1.0]), axis=0)
-    )
-    with pytest.raises(QuantizationError):
-        pe.qtensor_row_dot(q, q)

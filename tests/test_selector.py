@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -371,11 +373,29 @@ def test_plan_custom_oracle():
     assert calls  # the oracle drove the loop
 
 
-def test_plan_worker_count_does_not_change_result():
+def test_plan_worker_count_does_not_change_result(monkeypatch):
     layers = _layers(seed=9)
-    a = plan_mixed_precision(layers, CANDS, threshold=0.0, max_promotions=2, workers=1)
-    b = plan_mixed_precision(layers, CANDS, threshold=0.0, max_promotions=2, workers=4)
-    assert a.to_json() == b.to_json()
+    plans = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        plans.append(plan_mixed_precision(layers, CANDS, threshold=0.0, max_promotions=2).to_json())
+    assert plans[0] == plans[1]
+
+
+def test_plan_json_lists_four_bit_candidates_of_promoted_layers_only():
+    layers = _layers()
+    four_bit = {l["layerId"]: l for l in plan_mixed_precision(layers, CANDS).to_json()["layers"]}
+    docs = plan_mixed_precision(layers, CANDS, threshold=0.0, max_promotions=1).to_json()["layers"]
+    assert sorted(doc["width"] for doc in docs) == [4, 4, 4, 8]
+    for doc in docs:
+        if doc["width"] == 4:
+            assert "fourBitCandidates" not in doc
+        else:
+            base = four_bit[doc["layerId"]]
+            assert doc["fourBitCandidates"] == {
+                "weight": base["weightType"]["perCandidateMse"],
+                "activation": base["activationType"]["perCandidateMse"],
+            }
 
 
 def test_plan_promoted_layers_use_int8():
