@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, flint, pe, sim, tensor_io, verify
+from . import __version__, flint, sim, tensor_io, verify
 from .qtypes import NumericType, QuantScheme, QuantizationError, quantize
 from .selector import (
     DEFAULT_CANDIDATES,
@@ -74,19 +75,16 @@ def _parse_ntype(args: argparse.Namespace) -> NumericType:
 def cmd_tables(args: argparse.Namespace) -> int:
     t = _parse_ntype(args)
     values = t.code_values()
-    rows = []
-    for code in range(1 << t.width):
-        if t.kind in ("int", "pot", "flint"):
-            pair = pe.decode_operand(code, t)
-            base, exp = pair.base, pair.exponent
-        else:
-            base, exp = "", ""
-        rows.append({
-            "code": format(code, f"0{t.width}b"),
-            "base": base,
-            "exponent": exp,
-            "value": values[code],
-        })
+    if t.kind == "float":  # no integer-path (base, exponent) decode
+        base = exponent = [""] * values.size
+    else:
+        pair = t.decoded()
+        base, exponent = pair.base, pair.exponent
+    rows = [
+        {"code": format(code, f"0{t.width}b"), "base": base[code],
+         "exponent": exponent[code], "value": values[code]}
+        for code in range(values.size)
+    ]
     fields = ["code", "base", "exponent", "value"]
     if args.csv:
         with open(args.csv, "w", newline="") as f:
@@ -104,12 +102,17 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     t = tensor_io.load_tensor(args.input)
     ntype = _parse_ntype(args)
+    axis = args.axis
+    if axis is not None:
+        if not -t.ndim <= axis < t.ndim:
+            raise QuantizationError(f"axis {axis} is out of range for a {t.ndim}-D tensor")
+        axis %= t.ndim  # the qtensor header stores a non-negative axis
     if args.scale is not None:
-        scheme = QuantScheme(ntype, np.array([args.scale]), axis=args.axis)
+        scheme = QuantScheme(ntype, np.array([args.scale]), axis=axis)
     else:
         from .selector import argmin_mse_scale
 
-        scheme, _, _ = argmin_mse_scale(t, ntype, axis=args.axis)
+        scheme, _, _ = argmin_mse_scale(t, ntype, axis=axis)
     q = quantize(t, scheme)
     tensor_io.save_qtensor(args.out, q)
     print(f"wrote {args.out}: {q.codes.size} codes ({ntype.name})")
@@ -192,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg = tensor_io.load_array_config(args.config) if args.config else sim.ArrayConfig()
     if args.dataflow:
-        cfg = sim.ArrayConfig.from_json({**cfg.to_json(), "dataflow": args.dataflow})
+        cfg = dataclasses.replace(cfg, dataflow=args.dataflow)
 
     layers = []
     for gl in graph:

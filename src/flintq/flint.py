@@ -45,10 +45,11 @@ class FlintCode:
 
 @dataclass(frozen=True)
 class DecodedPair:
-    """Integer-path decode result: value = base * 2**exponent."""
+    """Integer-path decode result: value = base * 2**exponent.  The fields
+    are ints, or int64 arrays holding one pair per code or MAC lane."""
 
-    base: int
-    exponent: int
+    base: int | np.ndarray
+    exponent: int | np.ndarray
 
     @property
     def value(self) -> int:

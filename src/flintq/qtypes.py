@@ -12,7 +12,9 @@ threshold table.  It writes the lowest code of the cell's value, so every
 input in the zero cell gets code 0.  ``fake_quantize`` reads the values
 straight from the grid.
 
-Code layouts:
+Code layouts (int, pot and flint are written once, as the integer-path
+(base, exponent) table of ``NumericType.decoded()``; each code's value is
+base * 2**exponent):
 * int    -- two's complement in the low ``width`` bits.
 * pot    -- code 0 is zero, code k >= 1 is 2**(k-1); signed uses a sign
             bit in the MSB over a (width-1)-bit magnitude code.
@@ -74,6 +76,12 @@ class NumericType:
         """Decoded value of every code word, indexed by code (length 2**width, read-only)."""
         return _code_values(self)
 
+    def decoded(self) -> flint.DecodedPair:
+        """The integer-path (base, exponent) pair of every code word, indexed
+        by code: read-only int64 arrays, ``base * 2**exponent`` the code's
+        value.  int, pot and flint only; float raises QuantizationError."""
+        return _decoded(self)
+
     def thresholds(self) -> np.ndarray:
         """Unit-scale decision thresholds of the quantizer (read-only).
 
@@ -125,32 +133,9 @@ class QTensor:
 
 
 # ---------------------------------------------------------------------------
-# Per-kind code tables (value of each code word at unit scale)
+# float's code table (value of each code word at unit scale); int, pot and
+# flint values come from their (base, exponent) decode, ``_decoded``
 # ---------------------------------------------------------------------------
-
-def _int_code_values(t: NumericType) -> np.ndarray:
-    codes = np.arange(1 << t.width)
-    if not t.signed:
-        return codes.astype(np.float64)
-    half = 1 << (t.width - 1)
-    return np.where(codes < half, codes, codes - (1 << t.width)).astype(np.float64)
-
-
-def _pot_code_values(t: NumericType) -> np.ndarray:
-    mag_width = t.width - 1 if t.signed else t.width
-    mag = np.zeros(1 << mag_width)
-    k = np.arange(1, 1 << mag_width)
-    mag[1:] = 2.0 ** (k - 1)
-    if not t.signed:
-        return mag
-    return np.concatenate([mag, -mag])  # sign bit in MSB
-
-
-def _flint_code_values(t: NumericType) -> np.ndarray:
-    return np.array(
-        [float(flint.decode_value(c)) for c in flint.all_codes(t.width, t.signed)]
-    )
-
 
 def _float_code_values(t: NumericType) -> np.ndarray:
     e_bits, m_bits = t.float_split
@@ -163,14 +148,6 @@ def _float_code_values(t: NumericType) -> np.ndarray:
     if not t.signed:
         return mag
     return np.concatenate([mag, -mag])
-
-
-_CODE_VALUE_FNS = {
-    "int": _int_code_values,
-    "pot": _pot_code_values,
-    "flint": _flint_code_values,
-    "float": _float_code_values,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +194,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _decoded(t: NumericType) -> flint.DecodedPair:
+    codes = np.arange(1 << t.width, dtype=np.int64)
+    if t.kind == "int":  # two's complement
+        base = np.where(codes >> (t.width - 1), codes - (1 << t.width), codes) if t.signed else codes
+        exponent = np.zeros_like(codes)
+    elif t.kind == "pot":  # sign bit (if signed) over the magnitude code k: 2**(k-1)
+        mag_width = t.width - t.signed
+        k = codes & ((1 << mag_width) - 1)
+        base = np.where(k == 0, 0, np.where(codes >> mag_width, -1, 1))
+        exponent = np.maximum(k - 1, 0)
+    elif t.kind == "flint":
+        pairs = [flint.decode_int(c) for c in flint.all_codes(t.width, t.signed)]
+        base = np.array([p.base for p in pairs], dtype=np.int64)
+        exponent = np.array([p.exponent for p in pairs], dtype=np.int64)
+    else:
+        raise QuantizationError(f"type {t.name} has no integer-path (base, exponent) decode")
+    return flint.DecodedPair(_read_only(base), _read_only(exponent))
+
+
+@functools.cache
 def _code_values(t: NumericType) -> np.ndarray:
-    return _read_only(_CODE_VALUE_FNS[t.kind](t))
+    if t.kind == "float":
+        return _read_only(_float_code_values(t))
+    pair = _decoded(t)
+    return _read_only(np.ldexp(pair.base, pair.exponent))
 
 
 @functools.cache

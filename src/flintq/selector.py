@@ -18,6 +18,8 @@ import numpy as np
 
 from .qtypes import INT8, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
 
+# The scale search sweeps clip ratios from DEFAULT_MIN_CLIP_RATIO to 1 of
+# max|v| in steps of 1 / DEFAULT_SWEEP_STEPS.
 DEFAULT_SWEEP_STEPS = 100
 DEFAULT_MIN_CLIP_RATIO = 0.2
 
@@ -139,12 +141,7 @@ def _sweep_scores(
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _best_scales(
-    rows: np.ndarray,
-    ntype: NumericType,
-    steps: int,
-    min_ratio: float,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _best_scales(rows: np.ndarray, ntype: NumericType) -> tuple[np.ndarray, np.ndarray, bool]:
     """Sweep clip ratios on every row of ``rows``; returns each row's scale
     and MSE, and whether any row was all-zero (its scale falls back to 1.0).
 
@@ -157,7 +154,8 @@ def _best_scales(
     if not np.all(np.isfinite(max_abs)):
         raise QuantizationError("input tensor contains non-finite values")
     zero = max_abs == 0.0  # swept at max_abs 1.0, then given scale 1.0 and MSE 0
-    ratios = np.arange(int(round(steps * min_ratio)), steps + 1)
+    steps = DEFAULT_SWEEP_STEPS
+    ratios = np.arange(int(round(steps * DEFAULT_MIN_CLIP_RATIO)), steps + 1)
     sweep = np.where(zero, 1.0, max_abs)[:, None] * ratios / steps / ntype.max_value()
     n = rows.shape[1]
     block = max(1, _BLOCK_ELEMENTS // max(n, sweep.shape[1] * (ntype.grid().size + 1)))
@@ -187,8 +185,6 @@ def argmin_mse_scale(
     t: np.ndarray,
     ntype: NumericType,
     axis: int | None = None,
-    steps: int = DEFAULT_SWEEP_STEPS,
-    min_ratio: float = DEFAULT_MIN_CLIP_RATIO,
 ) -> tuple[QuantScheme, float, bool]:
     """Per-slice MSE-minimizing scale search.
 
@@ -201,10 +197,10 @@ def argmin_mse_scale(
     if t.size == 0:
         raise QuantizationError("cannot search scales on an empty tensor")
     if axis is None:
-        scales, errs, degenerate = _best_scales(t.reshape(1, -1), ntype, steps, min_ratio)
+        scales, errs, degenerate = _best_scales(t.reshape(1, -1), ntype)
         return QuantScheme(ntype, scales), float(errs[0]), degenerate
     rows = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
-    scales, _, degenerate = _best_scales(rows, ntype, steps, min_ratio)
+    scales, _, degenerate = _best_scales(rows, ntype)
     scheme = QuantScheme(ntype, scales, axis=axis)
     return scheme, mse(fake_quantize(t, scheme), t), degenerate
 
@@ -239,12 +235,8 @@ def make_candidates(
     kinds: Sequence[str] = DEFAULT_CANDIDATES,
     width: int = 4,
     signed: bool = True,
-    float_split: tuple[int, int] | None = None,
 ) -> list[NumericType]:
-    return [
-        NumericType(k, width, signed, float_split if k == "float" else None)
-        for k in kinds
-    ]
+    return [NumericType(k, width, signed) for k in kinds]
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,6 @@ class ArrayConfig:
             if cost < 0:
                 raise SimConfigError(f"energy cost {name} must be >= 0")
 
-    @property
-    def decoder_count(self) -> int:
-        # Boundary decoders only: both edges feed in OS, input edge in WS.
-        return 2 * self.n if self.dataflow == "os" else self.n
-
     @staticmethod
     def from_json(d: dict) -> "ArrayConfig":
         energy = EnergyTable(**d.get("energy", {}))

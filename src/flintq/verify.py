@@ -26,6 +26,15 @@ INT_DECODE_ROWS = (
     + [(0b1010 | m, 4 + 2 * m, 2) for m in range(2)]
     + [(0b1001, 2, 4), (0b1000, 1, 6)]
 )
+# Value of every 4-bit int and pot code, by code, keyed by signedness.
+INT4_BY_CODE = {
+    False: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    True: [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
+}
+POT4_BY_CODE = {
+    False: [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384],
+    True: [0, 1, 2, 4, 8, 16, 32, 64, 0, -1, -2, -4, -8, -16, -32, -64],
+}
 
 
 @dataclass
@@ -49,6 +58,14 @@ def check_golden_tables() -> CheckResult:
     signed = flint.enumerate_values(4, signed=True)
     if signed != SIGNED4_VALUES:
         return CheckResult("golden-tables", False, f"signed 4-bit values {signed}")
+    for kind, by_code in (("int", INT4_BY_CODE), ("pot", POT4_BY_CODE)):
+        for is_signed, want in by_code.items():
+            t = NumericType(kind, 4, is_signed)
+            pair = t.decoded()
+            # Compared as bytes, so a code that decodes to -0.0 fails too.
+            if (t.code_values().tobytes() != np.array(want, dtype=np.float64).tobytes()
+                    or (pair.base << pair.exponent).tolist() != want):
+                return CheckResult("golden-tables", False, f"{t.name} values by code")
     return CheckResult("golden-tables", True)
 
 
@@ -84,22 +101,13 @@ def check_roundtrip() -> CheckResult:
     return CheckResult("encode-roundtrip", True)
 
 
-def _decoded_codes(ntype: NumericType) -> flint.DecodedPair:
-    """Every code of ``ntype`` decoded by the PE, as int64 (base, exponent) arrays."""
-    pairs = [pe.decode_operand(c, ntype) for c in range(1 << ntype.width)]
-    return flint.DecodedPair(
-        np.array([p.base for p in pairs], dtype=np.int64),
-        np.array([p.exponent for p in pairs], dtype=np.int64),
-    )
-
-
 def check_mac_exhaustive() -> CheckResult:
     kinds = ("int", "pot", "flint")
     wide = pe.MacState(acc_width=64, product_width=64)
     for signed in (False, True):
         types = {k: NumericType(k, 4, signed) for k in kinds}
         vals = {k: types[k].code_values() for k in kinds}
-        decoded = {k: _decoded_codes(types[k]) for k in kinds}
+        decoded = {k: types[k].decoded() for k in kinds}
         for ka in kinds:
             # Codes of ``ka`` down the rows, of ``kb`` across: one lane per pair.
             da = flint.DecodedPair(decoded[ka].base[:, None], decoded[ka].exponent[:, None])

@@ -87,11 +87,13 @@ def test_criterion_mac_bit_exactness():
     for signed in (False, True):
         types = {k: NumericType(k, 4, signed) for k in kinds}
         luts = {k: types[k].code_values() for k in kinds}
+        decoded = {k: types[k].decoded() for k in kinds}
         for ka, kb in itertools.product(kinds, repeat=2):
             for ca in range(16):
-                da = pe.decode_operand(ca, types[ka])
+                da = flint.DecodedPair(int(decoded[ka].base[ca]), int(decoded[ka].exponent[ca]))
                 for cb in range(16):
-                    s = pe.mac_step(wide, da, pe.decode_operand(cb, types[kb]))
+                    db = flint.DecodedPair(int(decoded[kb].base[cb]), int(decoded[kb].exponent[cb]))
+                    s = pe.mac_step(wide, da, db)
                     assert s.accumulator == luts[ka][ca] * luts[kb][cb], (
                         f"{ka}x{kb} signed={signed} codes ({ca},{cb})"
                     )

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from flintq import cli, pe, tensor_io, verify
+from flintq import cli, pe, sim, tensor_io, verify
 from flintq.qtypes import NumericType, dequantize
 
 TABLE_UNSIGNED4 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
@@ -64,6 +64,14 @@ def test_tables_csv_includes_base_exponent(tmp_path):
         assert float(r["base"]) * 2.0 ** float(r["exponent"]) == float(r["value"])
 
 
+def test_tables_signed_pot_sign_bit_over_zero_is_plus_zero(capsys):
+    assert cli.main(["tables", "--type", "pot", "--bits", "4", "--signed"]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:]}
+    assert len(rows) == 16
+    assert rows["1000"] == ["0", "0", "0"]  # base, exponent, value: not -0
+    assert rows["1011"] == ["-1", "2", "-4"]
+
+
 def test_tables_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         cli.main(["tables", "--type", "bogus"])
@@ -117,6 +125,27 @@ def test_quantize_negative_into_unsigned_exits_4(tmp_path):
     rc = cli.main(["quantize", src, "--type", "flint", "--scale", "1.0",
                    "--out", str(tmp_path / "q.bin")])
     assert rc == cli.EXIT_VALIDATION
+
+
+def test_quantize_negative_axis_is_stored_non_negative(tmp_path):
+    src, out = str(tmp_path / "w.tensor"), str(tmp_path / "q.qtensor")
+    tensor_io.save_tensor(src, np.random.default_rng(3).normal(size=(4, 6)))
+    assert cli.main(["quantize", src, "--type", "int", "--bits", "4", "--signed",
+                     "--axis", "-1", "--out", out]) == 0
+    q = tensor_io.load_qtensor(out)
+    assert q.scheme.axis == 1 and q.scheme.scales.size == 6
+
+
+@pytest.mark.parametrize("axis", ["2", "5", "-3"])
+@pytest.mark.parametrize("scale", [[], ["--scale", "0.1"]], ids=["searched", "fixed"])
+def test_quantize_axis_out_of_range_exits_4(tmp_path, capsys, axis, scale):
+    src = str(tmp_path / "w.tensor")
+    tensor_io.save_tensor(src, np.ones((4, 6)))
+    rc = cli.main(["quantize", src, "--type", "int", "--signed", "--axis", axis, *scale,
+                   "--out", str(tmp_path / "q.qtensor")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: axis {axis} is out of range for a 2-D tensor"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +242,19 @@ def test_simulate_custom_config(tmp_path):
     assert rc == 0
     with open(out + ".json") as f:
         assert json.load(f)["dataflow"] == "ws"
+
+
+def test_simulate_dataflow_flag_overrides_only_the_config_dataflow(tmp_path, monkeypatch):
+    cfg = sim.ArrayConfig(n=32, dataflow="ws", energy=sim.EnergyTable(mac4=2.0))
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg.to_json(), f)
+    seen = []
+    real = sim.simulate_model
+    monkeypatch.setattr(sim, "simulate_model", lambda c, w: seen.append(c) or real(c, w))
+    rc, _ = _plan_then_simulate(tmp_path, "os", config=cfg_path)
+    assert rc == 0
+    assert seen == [sim.ArrayConfig(n=32, dataflow="os", energy=sim.EnergyTable(mac4=2.0))]
 
 
 def test_simulate_plan_mismatch_exits_5(tmp_path):
@@ -349,8 +391,7 @@ def test_verify_mac_fail_names_the_pair(monkeypatch, capsys):
         # pot4 code, and no other 4-bit type decodes to (-1, 6).
         s = real(state, a, b)
         hit = (a.base == -1) & (a.exponent == 6) & (b.base == -1) & (b.exponent == 6)
-        return pe.MacState(s.accumulator + hit, s.acc_width, s.product_width, s.policy,
-                           s.overflowed)
+        return pe.MacState(s.accumulator + hit, s.acc_width, s.product_width, s.overflowed)
 
     monkeypatch.setattr(pe, "mac_step", off_by_one)
     _verify_fails_with(capsys, verify.check_mac_exhaustive, "mac-exhaustive",

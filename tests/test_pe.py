@@ -20,41 +20,53 @@ def code_value(code, ntype):
     return float(ntype.code_values()[code])
 
 
+def decode(code, ntype):
+    """One code's (base, exponent) pair from the type's table, as Python ints."""
+    pair = ntype.decoded()
+    return DecodedPair(int(pair.base[code]), int(pair.exponent[code]))
+
+
 # ---------------------------------------------------------------------------
-# decode_operand
+# NumericType.decoded(): the operand decode table
 # ---------------------------------------------------------------------------
 
 def test_decode_int_codes():
     t = TYPES4["int"]
-    assert pe.decode_operand(3, t) == DecodedPair(3, 0)
-    assert pe.decode_operand(0b1101, t) == DecodedPair(-3, 0)
+    assert decode(3, t) == DecodedPair(3, 0)
+    assert decode(0b1101, t) == DecodedPair(-3, 0)
 
 
 def test_decode_pot_codes():
     t = TYPES4["pot"]
-    assert pe.decode_operand(0, t) == DecodedPair(0, 0)
-    assert pe.decode_operand(0b0011, t) == DecodedPair(1, 2)   # +4
-    assert pe.decode_operand(0b1011, t) == DecodedPair(-1, 2)  # -4
+    assert decode(0, t) == DecodedPair(0, 0)
+    assert decode(0b1000, t) == DecodedPair(0, 0)  # sign bit over a zero magnitude
+    assert decode(0b0011, t) == DecodedPair(1, 2)   # +4
+    assert decode(0b1011, t) == DecodedPair(-1, 2)  # -4
 
 
 def test_decode_flint_codes():
     t = TYPES4["flint"]
-    assert pe.decode_operand(0b0111, t).value == 6
-    assert pe.decode_operand(0b1111, t).value == -6
+    assert decode(0b0111, t).value == 6
+    assert decode(0b1111, t).value == -6
 
 
 def test_decode_operand_matches_lut():
     for name, t in TYPES4.items():
+        pair = t.decoded()
+        assert pair.base.dtype == pair.exponent.dtype == np.int64
+        assert not pair.base.flags.writeable and not pair.exponent.flags.writeable
         for code in range(16):
-            pair = pe.decode_operand(code, t)
-            assert pair.base * (1 << pair.exponent) == code_value(code, t), (name, code)
+            d = decode(code, t)
+            assert d.base * (1 << d.exponent) == code_value(code, t), (name, code)
 
 
 def test_decode_operand_rejects_bad_code_and_kind():
+    # One entry per code word: a code past the width has no row.
+    assert all(t.decoded().base.size == 16 for t in TYPES4.values())
+    with pytest.raises(IndexError):
+        TYPES4["int"].decoded().base[16]
     with pytest.raises(QuantizationError):
-        pe.decode_operand(16, TYPES4["int"])
-    with pytest.raises(QuantizationError):
-        pe.decode_operand(1, NumericType("float", 4, True, (2, 1)))
+        NumericType("float", 4, True, (2, 1)).decoded()
 
 
 # ---------------------------------------------------------------------------
@@ -81,40 +93,28 @@ def test_mac_exhaustive_all_type_pairs():
     for ta, tb in itertools.product(TYPES4.values(), repeat=2):
         va, vb = ta.code_values(), tb.code_values()
         for ca in range(16):
-            da = pe.decode_operand(ca, ta)
+            da = decode(ca, ta)
             for cb in range(16):
-                s = pe.mac_step(WIDE, da, pe.decode_operand(cb, tb))
+                s = pe.mac_step(WIDE, da, decode(cb, tb))
                 assert s.accumulator == va[ca] * vb[cb]
-
-
-def test_mac_policy_strict_raises():
-    small = pe.MacState(acc_width=8, product_width=8, policy="strict")
-    with pytest.raises(pe.DatapathError):
-        pe.mac_step(small, DecodedPair(1, 7), DecodedPair(1, 7))  # 2^14
-
-
-def test_mac_policy_saturate():
-    small = pe.MacState(acc_width=8, product_width=8, policy="saturate")
-    s = pe.mac_step(small, DecodedPair(1, 7), DecodedPair(1, 7))
-    assert s.accumulator == 127 and s.overflowed
-    s = pe.mac_step(s, DecodedPair(-1, 7), DecodedPair(1, 7))
-    assert s.accumulator == 127 - 128  # saturated product then exact add
-
-
-def test_mac_policy_wrap():
-    small = pe.MacState(acc_width=8, product_width=16, policy="wrap")
-    s = pe.mac_step(small, DecodedPair(10, 0), DecodedPair(13, 0))  # 130
-    assert s.accumulator == 130 - 256 and s.overflowed
-    # Python ints wrap exactly past int64 too.
-    wide = pe.MacState(acc_width=64, product_width=128, policy="wrap")
-    s = pe.mac_step(wide, DecodedPair(3, 62), DecodedPair(1, 0))  # 3 * 2^62
-    assert s.accumulator == 3 * 2**62 - 2**64 and s.overflowed
 
 
 def test_mac_policy_widen_flags_but_keeps_exact():
     s = pe.mac_step(pe.MacState(), DecodedPair(1, 10), DecodedPair(1, 6))
     assert s.accumulator == 1 << 16  # past the 16-bit product: flagged, exact
     assert s.overflowed
+    # Python ints stay exact past int64 too: the sum overflows the 64-bit
+    # accumulator and is flagged, the product fits 128 bits.
+    wide = pe.MacState(acc_width=64, product_width=128)
+    s = pe.mac_step(wide, DecodedPair(3, 62), DecodedPair(1, 0))  # 3 * 2^62
+    assert s.accumulator == 3 * 2**62 and s.overflowed
+    # The signed 8-bit range is [-128, 127], for the product and the sum alike.
+    small = pe.MacState(acc_width=8, product_width=8)
+    for base, exponent, over in ((-1, 7, False), (127, 0, False), (1, 7, True), (-129, 0, True)):
+        s = pe.mac_step(small, DecodedPair(base, exponent), DecodedPair(1, 0))
+        assert s.accumulator == base << exponent and s.overflowed == over, (base, exponent)
+    s = pe.mac_step(pe.MacState(100, acc_width=8, product_width=8), DecodedPair(28, 0), DecodedPair(1, 0))
+    assert s.accumulator == 128 and s.overflowed  # the product fits, the sum does not
 
 
 LANE = st.tuples(
@@ -127,32 +127,24 @@ LANE = st.tuples(
 
 @given(
     lanes=st.lists(LANE, min_size=1, max_size=12),
-    policy=st.sampled_from(["widen", "saturate", "wrap", "strict"]),
     product_width=st.integers(4, 24),
     acc_width=st.integers(4, 24),
 )
-def test_array_mac_step_matches_scalar_lanes(lanes, policy, product_width, acc_width):
+def test_array_mac_step_matches_scalar_lanes(lanes, product_width, acc_width):
     # Products reach 2^26 and sums 2^27, past both widths: lanes overflow
     # the product, the accumulator, both or neither.
     acc, ab, ae, bb, be, flag = (np.array(col, dtype=np.int64) for col in zip(*lanes))
     flag = flag.astype(bool)
-    want = []
-    for lane in lanes:
-        state = pe.MacState(lane[0], acc_width, product_width, policy, lane[5])
-        try:
-            want.append(pe.mac_step(state, DecodedPair(*lane[1:3]), DecodedPair(*lane[3:5])))
-        except pe.DatapathError:
-            want.append(None)
-    state = pe.MacState(acc, acc_width, product_width, policy, flag)
-    if None in want:
-        assert policy == "strict"
-        with pytest.raises(pe.DatapathError):
-            pe.mac_step(state, DecodedPair(ab, ae), DecodedPair(bb, be))
-        return
+    want = [
+        pe.mac_step(pe.MacState(lane[0], acc_width, product_width, lane[5]),
+                    DecodedPair(*lane[1:3]), DecodedPair(*lane[3:5]))
+        for lane in lanes
+    ]
+    state = pe.MacState(acc, acc_width, product_width, flag)
     got = pe.mac_step(state, DecodedPair(ab, ae), DecodedPair(bb, be))
     assert got.accumulator.tolist() == [s.accumulator for s in want]
     assert got.overflowed.tolist() == [s.overflowed for s in want]
-    assert (got.acc_width, got.product_width, got.policy) == (acc_width, product_width, policy)
+    assert (got.acc_width, got.product_width) == (acc_width, product_width)
 
 
 def test_default_product_width_covers_flint_times_int():
@@ -161,9 +153,7 @@ def test_default_product_width_covers_flint_times_int():
     t_f, t_i = TYPES4["flint"], TYPES4["int"]
     for ca in range(16):
         for cb in range(16):
-            s = pe.mac_step(
-                pe.MacState(), pe.decode_operand(ca, t_f), pe.decode_operand(cb, t_i)
-            )
+            s = pe.mac_step(pe.MacState(), decode(ca, t_f), decode(cb, t_i))
             assert not s.overflowed
 
 

@@ -92,16 +92,6 @@ def test_scale_search_per_channel_beats_per_tensor():
     assert err_pc < err_pt
 
 
-def test_sweep_resolution_improves_or_matches():
-    rng = np.random.default_rng(2)
-    t = rng.laplace(size=300)
-    _, coarse, _ = argmin_mse_scale(t, INT4, steps=10)
-    _, fine, _ = argmin_mse_scale(t, INT4, steps=100)
-    # The coarse grid is not a subset of the fine one, but more steps should
-    # not be meaningfully worse.
-    assert fine <= coarse * 1.05
-
-
 # The plain sweep the sort-once search must reproduce bit for bit: one
 # quantize -> dequantize -> mse round trip per clip step, ties to the earlier.
 def _plain_sweep(v, ntype, steps=DEFAULT_SWEEP_STEPS, min_ratio=DEFAULT_MIN_CLIP_RATIO):

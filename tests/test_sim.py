@@ -36,11 +36,6 @@ def test_config_json_roundtrip():
     assert sim.ArrayConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_decoder_count_by_dataflow():
-    assert OS.decoder_count == 128  # both boundary edges
-    assert WS.decoder_count == 64
-
-
 def test_layer_validation():
     with pytest.raises(sim.SimConfigError):
         sim.GemmLayer("x", 1, 1, -1)
