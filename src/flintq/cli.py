@@ -102,17 +102,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     t = tensor_io.load_tensor(args.input)
     ntype = _parse_ntype(args)
-    axis = args.axis
-    if axis is not None:
-        if not -t.ndim <= axis < t.ndim:
-            raise QuantizationError(f"axis {axis} is out of range for a {t.ndim}-D tensor")
-        axis %= t.ndim  # the qtensor header stores a non-negative axis
     if args.scale is not None:
-        scheme = QuantScheme(ntype, np.array([args.scale]), axis=axis)
+        scheme = QuantScheme(ntype, np.array([args.scale]), axis=args.axis)
     else:
         from .selector import argmin_mse_scale
 
-        scheme, _, _ = argmin_mse_scale(t, ntype, axis=axis)
+        scheme, _, _ = argmin_mse_scale(t, ntype, axis=args.axis)
     q = quantize(t, scheme)
     tensor_io.save_qtensor(args.out, q)
     print(f"wrote {args.out}: {q.codes.size} codes ({ntype.name})")

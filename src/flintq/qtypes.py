@@ -6,11 +6,15 @@ factors (per-tensor or per-channel), and ``quantize``/``dequantize`` map
 between real tensors and code tensors.  Codes are stored one per element
 in uint8 arrays.
 
-``quantize`` finds each element's cell of the type's value grid: int and
-flint round to an integer in closed form, pot and float search the cached
-threshold table.  It writes the lowest code of the cell's value, so every
-input in the zero cell gets code 0.  ``fake_quantize`` reads the values
-straight from the grid.
+Each kind has one rounding rule from ``u = v / scale`` to a cell of its
+value grid: int rounds half away from zero, flint does the same and then
+takes the nearest grid value (ties away from zero), float takes the
+nearest value, and pot rounds log2|u| half away from zero.  One bisection
+turns each rule into a cached threshold table.  ``quantize`` finds each
+element's cell: int and flint in closed form, pot and float by searching
+the table.  It writes the lowest code of the cell's value, so every input
+in the zero cell gets code 0.  ``fake_quantize`` reads the values straight
+from the grid.
 
 Code layouts (int, pot and flint are written once, as the integer-path
 (base, exponent) table of ``NumericType.decoded()``; each code's value is
@@ -26,7 +30,7 @@ base * 2**exponent):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,40 +155,6 @@ def _float_code_values(t: NumericType) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rounding rules of pot and float (input already divided by the scale).  Only
-# the threshold tables call them: quantize reads the tables.  flint's rule is
-# ``flint.encode`` and int's is ``flint.round_half_away``.
-# ---------------------------------------------------------------------------
-
-def _quant_pot(v: np.ndarray, t: NumericType) -> np.ndarray:
-    mag_width = t.width - 1 if t.signed else t.width
-    kmax = (1 << mag_width) - 2  # largest exponent, code kmax+1
-    mag = np.abs(v)
-    with np.errstate(divide="ignore"):
-        k = np.clip(flint.round_half_away(np.log2(np.where(mag > 0, mag, 1.0))), 0, kmax)
-    code = np.where(mag < 0.5, 0, k + 1).astype(np.int64)
-    if t.signed:
-        code = np.where((v < 0) & (code > 0), code | (1 << (t.width - 1)), code)
-    return code.astype(np.uint8)
-
-
-def _quant_grid_nearest(v: np.ndarray, t: NumericType) -> np.ndarray:
-    """Round to the nearest representable value; ties away from zero."""
-    values = _code_values(t)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    idx = np.searchsorted(sorted_vals, v)
-    idx = np.clip(idx, 1, len(sorted_vals) - 1)
-    left = sorted_vals[idx - 1]
-    right = sorted_vals[idx]
-    d_left = np.abs(v - left)
-    d_right = np.abs(v - right)
-    take_right = (d_right < d_left) | ((d_right == d_left) & (np.abs(right) >= np.abs(left)))
-    chosen = np.where(take_right, idx, idx - 1)
-    return order[chosen].astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
 # Cached per-type tables (NumericType is frozen, so it keys the caches)
 # ---------------------------------------------------------------------------
 
@@ -261,58 +231,81 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, above) -> np.ndarray:
     return _key_float(hi)
 
 
-def _rounding_cuts(q: np.ndarray) -> np.ndarray:
-    """The least float64 that ``flint.round_half_away`` takes to q or above,
-    for each integer q."""
-    return _bisect(q - 1.0, q, lambda u: flint.round_half_away(u) >= q)
+# ---------------------------------------------------------------------------
+# Rounding rules: each kind's map from ``u`` (the input divided by the scale)
+# to a grid cell.  The threshold tables are bisected from them; quantize
+# shares int's and flint's closed form and searches the tables for pot and
+# float.
+# ---------------------------------------------------------------------------
 
-
-def _flint_integer_cuts(t: NumericType) -> np.ndarray:
-    """The least integer that ``flint.encode`` maps above each grid value but
-    the last, by bisection over the integers up to the next grid value."""
-    values, grid = _code_values(t), _grid(t)
-    lo, hi = grid[:-1].astype(np.int64), grid[1:].astype(np.int64)
-    while (open_ := np.flatnonzero(hi - lo > 1)).size:
-        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
-        codes = [flint.encode(int(m), t.width, 1.0, t.signed).bits for m in mid]
-        up = values[codes] > grid[:-1][open_]
-        hi[open_[up]] = mid[up]
-        lo[open_[~up]] = mid[~up]
-    return hi.astype(np.float64)
-
-
-@functools.cache
-def _thresholds(t: NumericType) -> np.ndarray:
-    """Each threshold is found from the kind's single rounding rule.  int and
-    flint round ``u`` half away from zero to an integer first (flint.encode
-    then encodes that integer), so their thresholds are the rounding cuts of
-    the least integer above each grid value.  pot and float are bisected
-    over the float64 values between neighbouring grid values."""
-    grid = _grid(t)
-    if t.kind == "int":
-        cuts = _rounding_cuts(grid[1:])
-    elif t.kind == "flint":
-        cuts = _rounding_cuts(_flint_integer_cuts(t))
-    else:
-        values = _code_values(t)
-        rule = _quant_pot if t.kind == "pot" else _quant_grid_nearest
-        cuts = _bisect(grid[:-1], grid[1:], lambda u: values[rule(u, t)] > grid[:-1])
-    return _read_only(cuts)
+def _nearest_cells(u: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The cell of the grid value nearest to each ``u``; ties away from zero."""
+    k = np.clip(np.searchsorted(grid, u), 1, grid.size - 1)
+    left, right = grid[k - 1], grid[k]
+    d_left, d_right = np.abs(u - left), np.abs(u - right)
+    return k - ((d_left < d_right) | ((d_left == d_right) & (np.abs(left) > np.abs(right))))
 
 
 @functools.cache
 def _integer_cells(t: NumericType) -> np.ndarray:
-    """The grid cell of each integer from ``grid()[0]`` to ``grid()[-1]``.
-    flint rounds ``u`` to an integer q first, so q's cell here is the cell
-    that ``searchsorted(thresholds(), u, "right")`` finds."""
+    """The grid cell of each integer from ``grid()[0]`` to ``grid()[-1]``:
+    its nearest grid value, ties away from zero."""
     grid = _grid(t)
-    q = np.arange(grid[0], grid[-1] + 1)
-    return _read_only(np.searchsorted(_thresholds(t), q, side="right"))
+    return _read_only(_nearest_cells(np.arange(grid[0], grid[-1] + 1), grid))
+
+
+def _rounded_cells(q: np.ndarray, t: NumericType) -> np.ndarray:
+    """int's and flint's rule once ``u`` is rounded to the integers ``q``
+    (a float array, overwritten): clip q to the grid and take its cell."""
+    lo, hi = _grid(t)[[0, -1]]
+    np.clip(q, lo, hi, out=q)
+    q -= lo
+    q = q.astype(np.intp)
+    if t.kind == "int":
+        return q
+    # The lookup overwrites the indices it reads, so it takes no fresh pages.
+    return np.take(_integer_cells(t), q, out=q, mode="clip")
+
+
+def _rule_cells(u: np.ndarray, t: NumericType) -> np.ndarray:
+    """The grid cell that the kind's rounding rule gives each ``u`` in the
+    grid's range."""
+    grid = _grid(t)
+    if t.kind in ("int", "flint"):  # round half away from zero, then the cell
+        return _rounded_cells(flint.round_half_away(u), t)
+    if t.kind == "float":
+        return _nearest_cells(u, grid)
+    # pot rounds log2|u| half away from zero; below 0.5 is zero.
+    zero = np.searchsorted(grid, 0.0)
+    mag = np.abs(u)
+    with np.errstate(divide="ignore"):
+        j = np.clip(flint.round_half_away(np.log2(mag)) + 1, 1, grid.size - 1 - zero)
+    j = np.where(mag < 0.5, 0, j).astype(np.intp)
+    return np.where(u < 0, zero - j, zero + j)
+
+
+@functools.cache
+def _thresholds(t: NumericType) -> np.ndarray:
+    """The least float64 that the kind's rule takes above each grid cell
+    but the last, bisected between neighbouring grid values."""
+    grid = _grid(t)
+    k = np.arange(grid.size - 1)
+    return _read_only(_bisect(grid[:-1], grid[1:], lambda u: _rule_cells(u, t) > k))
 
 
 # ---------------------------------------------------------------------------
 # Public interface
 # ---------------------------------------------------------------------------
+
+def check_axis(axis: int | None, ndim: int) -> int | None:
+    """``axis`` as a non-negative axis of an ``ndim``-D tensor (None stays
+    None); QuantizationError if it is out of range."""
+    if axis is None:
+        return None
+    if not -ndim <= axis < ndim:
+        raise QuantizationError(f"axis {axis} is out of range for a {ndim}-D tensor")
+    return axis % ndim
+
 
 def _broadcast_scales(scheme: QuantScheme, ndim: int) -> np.ndarray:
     """The scales shaped to broadcast along the scheme's axis of an ``ndim``-D
@@ -330,7 +323,7 @@ def _cells(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     ``grid()[cells]`` is its quantized value at unit scale."""
     if not np.all(np.isfinite(t)):
         raise QuantizationError("input tensor contains non-finite values")
-    axis = scheme.axis
+    axis = check_axis(scheme.axis, t.ndim)
     if axis is not None and scheme.scales.size != t.shape[axis]:
         raise QuantizationError(
             f"got {scheme.scales.size} scales for axis of length {t.shape[axis]}"
@@ -342,19 +335,17 @@ def _cells(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         u = np.ravel(t / _broadcast_scales(scheme, t.ndim))
     if ntype.kind in ("pot", "float"):
         return np.searchsorted(_thresholds(ntype), u, side="right")
-    # int and flint round u to an integer first; that closed form beats the
-    # table search.  flint then maps the integer to its cell.
-    lo, hi = _grid(ntype)[[0, -1]]
+    # int's and flint's rule in closed form, which beats the table search.
     q = flint.round_half_away(u)
-    del u  # the cast below may take its pages
-    np.clip(q, lo, hi, out=q)
-    q -= lo
-    q = q.astype(np.intp)
-    return q if ntype.kind == "int" else _integer_cells(ntype)[q]
+    del u  # the cast in _rounded_cells may take its pages
+    return _rounded_cells(q, ntype)
 
 
 def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:
     t = np.asarray(t, dtype=np.float64)
+    axis = check_axis(scheme.axis, t.ndim)
+    if axis != scheme.axis:  # a QTensor holds its axis non-negative
+        scheme = replace(scheme, axis=axis)
     return QTensor(_cell_codes(scheme.ntype)[_cells(t, scheme)], t.shape, scheme)
 
 

@@ -5,18 +5,19 @@ Scale search sweeps linear clipping ratios of the max-abs value and keeps
 the scale with the lowest quantization MSE.  Type selection runs the scale
 search for every candidate type and keeps the winner.  The promotion loop
 starts every layer at 4 bits and promotes the worst layer (by normalized
-MSE) to 8-bit int until a quality oracle is satisfied.
+MSE) to 8-bit int until the aggregate normalized MSE meets a threshold.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qtypes import INT8, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
+from .qtypes import (INT8, NumericType, QuantScheme, QuantizationError, check_axis,
+                     fake_quantize, mse)
 
 # The scale search sweeps clip ratios from DEFAULT_MIN_CLIP_RATIO to 1 of
 # max|v| in steps of 1 / DEFAULT_SWEEP_STEPS.
@@ -196,6 +197,7 @@ def argmin_mse_scale(
     t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         raise QuantizationError("cannot search scales on an empty tensor")
+    axis = check_axis(axis, t.ndim)
     if axis is None:
         scales, errs, degenerate = _best_scales(t.reshape(1, -1), ntype)
         return QuantScheme(ntype, scales), float(errs[0]), degenerate
@@ -227,7 +229,6 @@ def select_type(
         per_mse[cand.name] = err
         if best is None or err < best.mse_value:
             best = SelectionResult(cand, scheme, err, per_mse, degenerate)
-    best.per_candidate_mse = per_mse
     return best
 
 
@@ -339,14 +340,13 @@ def _select_layer(
 def plan_mixed_precision(
     layers: Sequence[LayerTensors],
     candidates: Sequence[NumericType] | None = None,
-    oracle: Callable[[PrecisionPlan], float] | None = None,
     threshold: float = np.inf,
     max_promotions: int | None = None,
 ) -> PrecisionPlan:
     """Layer-wise 4/8-bit assignment by greedy promotion.
 
-    Every layer starts at 4-bit with its selected types.  While the oracle
-    (default: aggregate normalized MSE) exceeds ``threshold``, the
+    Every layer starts at 4-bit with its selected types.  While the
+    aggregate normalized MSE exceeds ``threshold``, the
     not-yet-promoted layer with the greatest 4-bit normalized MSE moves to
     8-bit int.  ``max_promotions`` caps the loop (budget mode); with every
     layer at 8 bits the loop always terminates.
@@ -370,10 +370,9 @@ def plan_mixed_precision(
             total += term
         return PrecisionPlan(list(plans), total, list(promoted))
 
-    quality = oracle or (lambda plan: plan.aggregate_mse)
     plan = build()
     limit = len(layers) if max_promotions is None else min(max_promotions, len(layers))
-    while quality(plan) > threshold and len(promoted) < limit:
+    while plan.aggregate_mse > threshold and len(promoted) < limit:
         worst = max((i for i, p in enumerate(plans) if p.int8 is None),
                     key=lambda i: plans[i].normalized_mse)
         w, a, terms[worst] = _select_layer(layers[worst], candidates, 8)

@@ -74,7 +74,6 @@ class GemmLayer:
     width: int = 4  # 4 or 8
     weight_type: str = "flint"
     activation_type: str = "flint"
-    out_bytes_per_element: int = 2  # high-precision outputs
 
     def __post_init__(self):
         if min(self.m, self.n, self.k) < 0:
@@ -131,6 +130,10 @@ class SimReport:
         return total
 
 
+# Outputs leave the array at high precision.
+OUT_BYTES_PER_ELEMENT = 2
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -140,24 +143,12 @@ def _check_tile_fits(cfg: ArrayConfig, layer: GemmLayer, eff: int) -> None:
     # eff plus the high-precision output tile.
     in_bits = layer.width
     panel_bytes = 2 * eff * eff * in_bits / 8  # A panel chunk + B panel chunk
-    tile_bytes = 2 * panel_bytes + eff * eff * layer.out_bytes_per_element
+    tile_bytes = 2 * panel_bytes + eff * eff * OUT_BYTES_PER_ELEMENT
     if tile_bytes > cfg.buffer_bytes:
         raise SimConfigError(
             f"{layer.layer_id}: tile working set {tile_bytes:.0f} B exceeds "
             f"buffer {cfg.buffer_bytes} B (effective array {eff}x{eff})"
         )
-
-
-def decoder_events(cfg: ArrayConfig, layer: GemmLayer) -> int:
-    """Decode events: one per operand element crossing the array boundary."""
-    if layer.m == 0 or layer.n == 0 or layer.k == 0:
-        return 0
-    eff = cfg.n if layer.width == 4 else cfg.n // 2
-    if cfg.dataflow == "os":
-        tiles = _ceil_div(layer.m, eff) * _ceil_div(layer.n, eff)
-        return tiles * 2 * eff * layer.k
-    tiles = _ceil_div(layer.k, eff) * _ceil_div(layer.n, eff)
-    return tiles * (eff * eff + eff * layer.m)
 
 
 def simulate_layer(cfg: ArrayConfig, layer: GemmLayer) -> LayerReport:
@@ -169,25 +160,26 @@ def simulate_layer(cfg: ArrayConfig, layer: GemmLayer) -> LayerReport:
     eff = cfg.n if layer.width == 4 else cfg.n // 2
     _check_tile_fits(cfg, layer, eff)
     in_bits = layer.width
-    out_bits = layer.out_bytes_per_element * 8
+    out_bits = OUT_BYTES_PER_ELEMENT * 8
     tm, tn, tk = (_ceil_div(layer.m, eff), _ceil_div(layer.n, eff), _ceil_div(layer.k, eff))
 
+    a_reload = 1 if layer.m * layer.k * in_bits // 8 <= cfg.buffer_bytes // 2 else tn
+    # decode_events counts the operand elements streamed into the array: each
+    # is decoded once on the way in and read once from the buffer.
     if cfg.dataflow == "os":
         rep.compute_cycles = tm * tn * layer.k
         rep.overhead_cycles = tm * tn * 2 * eff  # fill + drain per tile
         # A panel re-streamed per N-tile column, B panel per M-tile row.
-        rep.sram_bits = tm * tn * 2 * eff * layer.k * in_bits + layer.m * layer.n * out_bits
-        a_reload = 1 if layer.m * layer.k * in_bits // 8 <= cfg.buffer_bytes // 2 else tn
+        rep.decode_events = tm * tn * 2 * eff * layer.k
+        rep.sram_bits = rep.decode_events * in_bits + layer.m * layer.n * out_bits
         w_reload = 1 if layer.k * layer.n * in_bits // 8 <= cfg.buffer_bytes // 2 else tm
     else:
         rep.compute_cycles = tk * tn * layer.m
         rep.overhead_cycles = tk * tn * eff  # weight preload per tile
         # Partial sums spill to the buffer between K tiles at high precision.
         partial_traffic = (2 * tk - 1) * layer.m * layer.n * out_bits
-        rep.sram_bits = (
-            tk * tn * (eff * eff + eff * layer.m) * in_bits + partial_traffic
-        )
-        a_reload = 1 if layer.m * layer.k * in_bits // 8 <= cfg.buffer_bytes // 2 else tn
+        rep.decode_events = tk * tn * (eff * eff + eff * layer.m)
+        rep.sram_bits = rep.decode_events * in_bits + partial_traffic
         w_reload = 1  # weights are stationary: fetched from DRAM once
 
     rep.dram_bits_weight = w_reload * layer.k * layer.n * in_bits
@@ -208,7 +200,6 @@ def simulate_layer(cfg: ArrayConfig, layer: GemmLayer) -> LayerReport:
         rep.mac4_ops = macs
     else:
         rep.mac8_ops = macs
-    rep.decode_events = decoder_events(cfg, layer)
     rep.encode_events = layer.m * layer.n  # output re-quantization on the way out
 
     e = cfg.energy

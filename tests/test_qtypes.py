@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flintq import flint, qtypes
+from flintq import flint, qtypes, tensor_io
 from flintq.qtypes import (
     KINDS,
     NumericType,
@@ -305,8 +305,9 @@ def test_fake_quantize_is_quantize_then_dequantize_bit_for_bit(ntype):
 
 
 def test_rounding_rules_are_off_the_quantize_path(monkeypatch):
-    # With the tables built, quantize and fake_quantize never call the pot,
-    # flint or float rounding rule.
+    # With the tables built, quantize and fake_quantize call neither the
+    # rules that only build the tables (pot's and float's, and the nearest
+    # value that builds flint's integer cells) nor flint.encode.
     types = [NumericType(k, w, s) for k in KINDS for w in (3, 4, 8) for s in (False, True)]
     for ntype in types:
         ntype.thresholds()
@@ -314,13 +315,46 @@ def test_rounding_rules_are_off_the_quantize_path(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("rounding rule called on the quantize path")
 
-    for owner, name in ((qtypes, "_quant_pot"), (qtypes, "_quant_grid_nearest"), (flint, "encode")):
+    for owner, name in ((qtypes, "_rule_cells"), (qtypes, "_nearest_cells"), (flint, "encode")):
         monkeypatch.setattr(owner, name, boom)
     t = np.abs(np.random.default_rng(0).normal(size=(3, 40)))
     for ntype in types:
         for scheme in (per_tensor(ntype, 0.1), QuantScheme(ntype, np.array([0.1, 0.2, 0.3]), axis=0)):
             quantize(t, scheme)
             fake_quantize(t, scheme)
+
+
+FLINT_TYPES = [NumericType("flint", w, s) for w in range(3, 9) for s in (False, True)]
+
+
+@pytest.mark.parametrize("ntype", FLINT_TYPES, ids=lambda t: t.name)
+def test_flint_rule_is_int_rounding_then_nearest_value(ntype):
+    # The tables take flint's rule as int's rounding followed by the nearest
+    # grid value; flint.encode states it as an integer split into exponent
+    # and rounded mantissa.  Both round u to an integer first, so agreeing on
+    # every integer (and a few past each end) makes them agree on all inputs.
+    grid = ntype.grid()
+    q = np.arange(grid[0] - 3 if ntype.signed else 0.0, grid[-1] + 4)
+    want = [ntype.code_values()[flint.encode(float(x), ntype.width, 1.0, ntype.signed).bits]
+            for x in q]
+    assert fake_quantize(q, per_tensor(ntype, 1.0)).tolist() == want
+
+
+def test_tables_build_without_flint_encode(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("flint.encode called while building tables")
+
+    monkeypatch.setattr(flint, "encode", boom)
+    caches = (qtypes._decoded, qtypes._code_values, qtypes._cell_codes, qtypes._grid,
+              qtypes._thresholds, qtypes._integer_cells)
+    for cache in caches:
+        cache.cache_clear()
+    for ntype in ALL_TYPES:
+        grid, thr = ntype.grid(), ntype.thresholds()
+        assert ntype.code_values().size == 1 << ntype.width
+        assert thr.size == grid.size - 1 and np.all((grid[:-1] < thr) & (thr <= grid[1:]))
+        if ntype.kind == "flint":
+            assert qtypes._integer_cells(ntype).size == grid[-1] - grid[0] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +374,25 @@ def test_per_channel_independence():
 def test_per_channel_scale_count_checked():
     with pytest.raises(QuantizationError):
         quantize(np.zeros((3, 2)), QuantScheme(INT4, np.array([1.0, 1.0]), axis=0))
+
+
+def test_negative_axis_is_stored_non_negative_and_round_trips(tmp_path):
+    t = np.random.default_rng(3).normal(size=(4, 6))
+    scheme = QuantScheme(INT4, np.linspace(0.1, 0.6, 6), axis=-1)
+    q = quantize(t, scheme)
+    assert q.scheme.axis == 1
+    path = str(tmp_path / "q.qtensor")
+    tensor_io.save_qtensor(path, q)
+    back = tensor_io.load_qtensor(path)
+    assert back.scheme.axis == 1
+    assert dequantize(back).tobytes() == fake_quantize(t, scheme).tobytes()
+
+
+@pytest.mark.parametrize("fn", [quantize, fake_quantize])
+def test_axis_out_of_range_is_a_quantization_error(fn):
+    scheme = QuantScheme(INT4, np.ones(4), axis=5)
+    with pytest.raises(QuantizationError, match=r"^axis 5 is out of range for a 2-D tensor$"):
+        fn(np.ones((4, 6)), scheme)
 
 
 # quantize/dequantize broadcast the scales along the axis; the reference

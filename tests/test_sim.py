@@ -142,10 +142,11 @@ def test_ws_buffer_energy_exceeds_os_at_large_k():
     assert e_ws > e_os
 
 
-def test_decoder_events():
+def test_decode_events():
     l = layer(128, 128, 50)
-    assert sim.decoder_events(OS, l) == 4 * 2 * 64 * 50  # tiles * both edges * K
-    assert sim.decoder_events(WS, sim.GemmLayer("L", 50, 128, 128)) == 4 * (64 * 64 + 64 * 50)
+    assert sim.simulate_layer(OS, l).decode_events == 4 * 2 * 64 * 50  # tiles * both edges * K
+    ws = sim.simulate_layer(WS, sim.GemmLayer("L", 50, 128, 128))
+    assert ws.decode_events == 4 * (64 * 64 + 64 * 50)
 
 
 def test_encode_events_match_output_size():
