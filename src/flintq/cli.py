@@ -103,7 +103,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     t = tensor_io.load_tensor(args.input)
     ntype = _parse_ntype(args)
     if args.scale is not None:
-        scheme = QuantScheme(ntype, np.array([args.scale]), axis=args.axis)
+        scheme = QuantScheme(ntype, np.array([args.scale]))
     else:
         from .selector import argmin_mse_scale
 
@@ -195,14 +195,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     layers = []
     for gl in graph:
         pl = plan_layers[gl.layer_id]
-        weight_type, activation_type = tensor_io.plan_layer_types(
-            pl, f"{args.plan}: plan layer {gl.layer_id}")
-        layers.append(sim.GemmLayer(
-            gl.layer_id, gl.m, gl.n, gl.k,
-            width=pl["width"],
-            weight_type=weight_type.name,
-            activation_type=activation_type.name,
-        ))
+        tensor_io.plan_layer_types(pl, f"{args.plan}: plan layer {gl.layer_id}")
+        layers.append(sim.GemmLayer(gl.layer_id, gl.m, gl.n, gl.k, width=pl["width"]))
     report = sim.simulate_model(cfg, sim.GemmWorkload(layers))
     inputs = [args.model, args.plan] + ([args.config] if args.config else [])
     sim.write_report_json(report, args.out + ".json", manifest=_manifest(args, inputs))
@@ -244,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--float-split")
-    p.add_argument("--scale", type=float, help="fixed scale (default: MSE scale search)")
-    p.add_argument("--axis", type=int, help="per-channel axis")
+    fixed_or_searched = p.add_mutually_exclusive_group()
+    fixed_or_searched.add_argument("--scale", type=float,
+                                   help="fixed per-tensor scale (default: MSE scale search)")
+    fixed_or_searched.add_argument("--axis", type=int, help="per-channel axis of the search")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_quantize)
 

@@ -15,6 +15,9 @@ Two decode paths are provided and must agree on every code:
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,86 +80,33 @@ def _lzd(field: int, width: int) -> int:
     return width - field.bit_length()
 
 
-def interval_index(e: int, b: int) -> int:
-    """Value-interval index i = floor(log2(e)) + 1 for an integer magnitude."""
-    if e < 1 or e > (1 << (2 * b - 2)):
-        raise FlintDomainError(f"magnitude {e} outside [1, 2^{2 * b - 2}] for width {b}")
-    return int(e).bit_length()  # floor(log2 e) + 1 for e >= 1
+@functools.cache
+def _code_table(b: int, signed: bool) -> tuple[list[float], list[int]]:
+    """The thresholds and cell codes of the b-bit flint type, the tables
+    ``qtypes.quantize`` reads, as lists: one element is found faster by
+    ``bisect`` on a list than by a numpy search."""
+    from . import qtypes  # qtypes builds its flint tables from this module
 
-
-def exponent_code(b: int, i: int) -> str:
-    """First-one exponent code (as a bit string) for interval i of a b-bit flint.
-
-    The mantissa width for the interval is ``b - len(code)``.
-    """
-    if not 1 <= i <= 2 * b - 1:
-        raise FlintDomainError(f"interval index {i} outside [1, {2 * b - 1}] for width {b}")
-    if i <= b - 1:
-        return "0" * (b - i) + "1"
-    if i == b:
-        return "11"
-    if i <= 2 * b - 2:
-        return "1" + "0" * (i - b) + "1"
-    return "1" + "0" * (b - 1)  # i == 2b - 1, the top interval
-
-
-def mantissa_width(b: int, i: int) -> int:
-    return b - len(exponent_code(b, i))
-
-
-def round_half_away(x):
-    """Round half away from zero: floor(|x| + 0.5) with the sign of x.
-
-    Takes a float or a numpy array (element-wise); ``encode`` rounds with
-    it, and so do the int and flint quantizers and the threshold tables.
-    An array is rounded within one new array: each fresh temporary of a
-    large array costs page faults that take longer than the arithmetic.
-    """
-    r = np.abs(x)
-    if type(r) is not np.ndarray:
-        return np.sign(x) * np.floor(r + 0.5)
-    r += 0.5
-    np.floor(r, out=r)
-    return np.copysign(r, x, out=r)
-
-
-def _encode_magnitude(q: int, b: int) -> int:
-    """Encode an already-quantized integer magnitude q in [0, 2^(2b-2)]."""
-    if q == 0:
-        return 0
-    i = interval_index(q, b)
-    mb = mantissa_width(b, i)
-    m = int(round_half_away((q / (1 << (i - 1)) - 1.0) * (1 << mb)))
-    if m == (1 << mb):
-        # Mantissa rounding overflowed the interval: carry into the next one.
-        i += 1
-        mb = mantissa_width(b, i)
-        m = 0
-    prefix = int(exponent_code(b, i), 2)
-    return (prefix << mb) | m
+    t = qtypes.NumericType("flint", b, signed)
+    return qtypes._thresholds(t).tolist(), qtypes._cell_codes(t).tolist()
 
 
 def encode(e: float, b: int, s: float = 1.0, signed: bool = False) -> FlintCode:
-    """Quantize a real value to a flint code (element-wise encoding).
+    """Quantize a real value to a flint code: the code ``qtypes.quantize``
+    gives ``e`` at scale ``s``, read from the same tables.
 
-    The value is integer-quantized by the scale ``s`` (round half away from
-    zero), the magnitude clamped to the representable range, then split into
-    a first-one exponent field and a rounded mantissa.
+    ``e / s`` takes its nearest grid value, ties away from zero: beyond the
+    grid's ends the end value, so an unsigned type takes a negative value to 0.
     """
     if s <= 0:
         raise FlintDomainError(f"scale must be positive, got {s}")
-    mag_width = b - 1 if signed else b
-    if mag_width < MIN_WIDTH - 1:
-        raise FlintDomainError(f"signed flint needs width >= {MIN_WIDTH + 1}, got {b}")
-    q = int(round_half_away(e / s))
-    if not signed and q < 0:
-        q = 0
-    neg = q < 0
-    q = min(abs(q), 1 << (2 * mag_width - 2))
-    code = _encode_magnitude(q, mag_width)
-    if signed and neg and code != 0:
-        code |= 1 << (b - 1)
-    return FlintCode(code, b, signed)
+    if not MIN_WIDTH <= b <= MAX_WIDTH:
+        raise FlintDomainError(f"flint width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {b}")
+    if not math.isfinite(e):
+        raise FlintDomainError(f"cannot encode the non-finite value {e}")
+    u = e / s  # an overflow to infinity lands on an end cell, as in quantize
+    thresholds, codes = _code_table(b, signed)
+    return FlintCode(codes[bisect.bisect_right(thresholds, u)], b, signed)
 
 
 def _decode_float_magnitude(bits: int, b: int) -> FloatFields:

@@ -6,15 +6,13 @@ factors (per-tensor or per-channel), and ``quantize``/``dequantize`` map
 between real tensors and code tensors.  Codes are stored one per element
 in uint8 arrays.
 
-Each kind has one rounding rule from ``u = v / scale`` to a cell of its
-value grid: int rounds half away from zero, flint does the same and then
-takes the nearest grid value (ties away from zero), float takes the
-nearest value, and pot rounds log2|u| half away from zero.  One bisection
-turns each rule into a cached threshold table.  ``quantize`` finds each
-element's cell: int and flint in closed form, pot and float by searching
-the table.  It writes the lowest code of the cell's value, so every input
-in the zero cell gets code 0.  ``fake_quantize`` reads the values straight
-from the grid.
+Every kind has one rounding rule: ``u = v / scale`` takes its nearest grid
+value, ties away from zero.  The cached threshold table is the midpoints of
+neighbouring grid values.  ``quantize`` finds each element's cell: int and
+flint in closed form from ``2u`` (all their midpoints are multiples of
+1/2), pot and float by searching the table.  It writes the lowest code of
+the cell's value, so every input in the zero cell gets code 0.
+``fake_quantize`` reads the values straight from the grid.
 
 Code layouts (int, pot and flint are written once, as the integer-path
 (base, exponent) table of ``NumericType.decoded()``; each code's value is
@@ -90,8 +88,10 @@ class NumericType:
         """Unit-scale decision thresholds of the quantizer (read-only).
 
         ``thresholds()[k]`` is the least float64 ``u`` that quantizes above
-        ``grid()[k]``, so ``grid()[searchsorted(thresholds(), u, "right")]``
-        is the quantized value of ``u = v / scale``.
+        ``grid()[k]``: the midpoint of ``grid()[k]`` and ``grid()[k + 1]``,
+        one ulp higher below zero.  So
+        ``grid()[searchsorted(thresholds(), u, "right")]`` is the quantized
+        value of ``u = v / scale``.
         """
         return _thresholds(self)
 
@@ -206,91 +206,25 @@ def _grid(t: NumericType) -> np.ndarray:
     return _read_only(_code_values(t)[_cell_codes(t)])
 
 
-_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
-
-
-def _float_key(x: np.ndarray) -> np.ndarray:
-    """Map float64 to int64 so that the order of keys is the order of values."""
-    bits = np.asarray(x, dtype=np.float64).view(np.int64)
-    return np.where(bits < 0, -(bits & ~_SIGN_BIT), bits)
-
-
-def _key_float(k: np.ndarray) -> np.ndarray:
-    return np.where(k < 0, -k | _SIGN_BIT, k).view(np.float64)
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, above) -> np.ndarray:
-    """Element-wise, the least float64 in (lo, hi] at which the monotone
-    predicate ``above`` holds; it must be false at lo and true at hi."""
-    lo, hi = _float_key(lo), _float_key(hi)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        up = above(_key_float(mid))
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    return _key_float(hi)
-
-
-# ---------------------------------------------------------------------------
-# Rounding rules: each kind's map from ``u`` (the input divided by the scale)
-# to a grid cell.  The threshold tables are bisected from them; quantize
-# shares int's and flint's closed form and searches the tables for pot and
-# float.
-# ---------------------------------------------------------------------------
-
-def _nearest_cells(u: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The cell of the grid value nearest to each ``u``; ties away from zero."""
-    k = np.clip(np.searchsorted(grid, u), 1, grid.size - 1)
-    left, right = grid[k - 1], grid[k]
-    d_left, d_right = np.abs(u - left), np.abs(u - right)
-    return k - ((d_left < d_right) | ((d_left == d_right) & (np.abs(left) > np.abs(right))))
-
-
-@functools.cache
-def _integer_cells(t: NumericType) -> np.ndarray:
-    """The grid cell of each integer from ``grid()[0]`` to ``grid()[-1]``:
-    its nearest grid value, ties away from zero."""
-    grid = _grid(t)
-    return _read_only(_nearest_cells(np.arange(grid[0], grid[-1] + 1), grid))
-
-
-def _rounded_cells(q: np.ndarray, t: NumericType) -> np.ndarray:
-    """int's and flint's rule once ``u`` is rounded to the integers ``q``
-    (a float array, overwritten): clip q to the grid and take its cell."""
-    lo, hi = _grid(t)[[0, -1]]
-    np.clip(q, lo, hi, out=q)
-    q -= lo
-    q = q.astype(np.intp)
-    if t.kind == "int":
-        return q
-    # The lookup overwrites the indices it reads, so it takes no fresh pages.
-    return np.take(_integer_cells(t), q, out=q, mode="clip")
-
-
-def _rule_cells(u: np.ndarray, t: NumericType) -> np.ndarray:
-    """The grid cell that the kind's rounding rule gives each ``u`` in the
-    grid's range."""
-    grid = _grid(t)
-    if t.kind in ("int", "flint"):  # round half away from zero, then the cell
-        return _rounded_cells(flint.round_half_away(u), t)
-    if t.kind == "float":
-        return _nearest_cells(u, grid)
-    # pot rounds log2|u| half away from zero; below 0.5 is zero.
-    zero = np.searchsorted(grid, 0.0)
-    mag = np.abs(u)
-    with np.errstate(divide="ignore"):
-        j = np.clip(flint.round_half_away(np.log2(mag)) + 1, 1, grid.size - 1 - zero)
-    j = np.where(mag < 0.5, 0, j).astype(np.intp)
-    return np.where(u < 0, zero - j, zero + j)
-
-
 @functools.cache
 def _thresholds(t: NumericType) -> np.ndarray:
-    """The least float64 that the kind's rule takes above each grid cell
-    but the last, bisected between neighbouring grid values."""
+    """The midpoints of neighbouring grid values, exact in float64 for every
+    grid here.  Below zero each is moved up one ulp, so that a tie, which
+    ``searchsorted(..., side="right")`` would send up, goes away from zero."""
     grid = _grid(t)
-    k = np.arange(grid.size - 1)
-    return _read_only(_bisect(grid[:-1], grid[1:], lambda u: _rule_cells(u, t) > k))
+    mid = (grid[:-1] + grid[1:]) / 2
+    return _read_only(np.where(mid < 0, np.nextafter(mid, np.inf), mid))
+
+
+@functools.cache
+def _half_step_cells(t: NumericType) -> tuple[np.ndarray, int]:
+    """int's and flint's cell of every half-integer ``j / 2``, indexed by
+    ``j + top`` for j in [-top, top], and ``top = 2 max|grid|``.  Their grid
+    values are integers, so every threshold is a multiple of 1/2 and the
+    cell of ``u`` is the cell of ``trunc(2u) / 2``."""
+    top = int(2 * np.abs(_grid(t)).max())
+    cells = np.searchsorted(_thresholds(t), np.arange(-top, top + 1) / 2, side="right")
+    return _read_only(cells), top
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +267,18 @@ def _cells(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         raise QuantizationError("unsigned type cannot quantize negative values")
     with np.errstate(over="ignore"):  # an infinite quotient lands on an end cell
         u = np.ravel(t / _broadcast_scales(scheme, t.ndim))
-    if ntype.kind in ("pot", "float"):
-        return np.searchsorted(_thresholds(ntype), u, side="right")
-    # int's and flint's rule in closed form, which beats the table search.
-    q = flint.round_half_away(u)
-    del u  # the cast in _rounded_cells may take its pages
-    return _rounded_cells(q, ntype)
+        if ntype.kind in ("pot", "float"):
+            return np.searchsorted(_thresholds(ntype), u, side="right")
+        # int and flint in closed form, which beats the table search.  Their
+        # thresholds are multiples of 1/2, and the cast truncates:
+        # trunc(2u) = sign(u) floor(2|u|).
+        cells, top = _half_step_cells(ntype)
+        u *= 2
+        np.clip(u, -top, top, out=u)
+    q = u.astype(np.intp)
+    q += top
+    # The lookup overwrites the indices it reads, so it takes no fresh pages.
+    return np.take(cells, q, out=q, mode="clip")
 
 
 def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:

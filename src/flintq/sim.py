@@ -72,8 +72,6 @@ class GemmLayer:
     n: int
     k: int
     width: int = 4  # 4 or 8
-    weight_type: str = "flint"
-    activation_type: str = "flint"
 
     def __post_init__(self):
         if min(self.m, self.n, self.k) < 0:

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,20 +64,37 @@ def test_criterion_decoder_equivalence():
 
 
 def test_criterion_nearest_value_fidelity():
+    # Every integer of the 4-bit flint range, every midpoint of neighbouring
+    # grid values, one ulp either side of each, and seeded random reals, in
+    # both signs: the encoder gives the nearest grid value (exact distances,
+    # no call into the code under test).  At a tie it gives one of the two
+    # nearest values, an integer tie must be in the golden list, and the
+    # rule is: away from zero.
     with open(os.path.join(HERE, "data", "flint4_ties.json")) as f:
         golden = json.load(f)
+    rng = np.random.default_rng(4)
     for signed, key in ((False, "unsigned"), (True, "signed")):
         grid = flint.enumerate_values(4, signed)
         ties = {t["input"]: t for t in golden[key]}
         lo = -grid[-1] if signed else 0
-        for e in range(lo, grid[-1] + 1):
-            got = flint.decode_value(flint.encode(e, 4, 1.0, signed))
-            best = min(grid, key=lambda v: abs(e - v))
-            if got == best:
-                continue
-            tie = ties.get(e)
-            assert tie is not None, f"{key}: disagreement at {e}: {got} vs {best}"
-            assert got in tie["nearest"], f"{key}: {e} -> {got} not in {tie['nearest']}"
+        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        points = ([float(e) for e in range(lo, grid[-1] + 1)] + mids
+                  + [float(np.nextafter(m, d)) for m in mids for d in (-np.inf, np.inf)]
+                  + rng.uniform(lo - 4, grid[-1] + 4, 2000).tolist())
+        for x in points:
+            got = flint.decode_value(flint.encode(x, 4, 1.0, signed))
+            dist = sorted((abs(Fraction(x) - v), -abs(v), v) for v in grid)
+            best = dist[0][2]
+            if dist[0][0] == dist[1][0]:
+                pair = sorted([dist[0][2], dist[1][2]])
+                assert got == best, f"{key}: tie at {x} -> {got}, not {best} (away from zero)"
+                if x == int(x):
+                    tie = ties.get(int(x))
+                    assert tie is not None and tie["nearest"] == pair, f"{key}: tie at {x} not listed"
+                    assert got in tie["nearest"], f"{key}: {x} -> {got} not in {tie['nearest']}"
+            else:
+                assert got == best, f"{key}: disagreement at {x}: {got} vs {best}"
+                assert int(x) != x or int(x) not in ties, f"{key}: listed tie {x} is no tie"
     print("PASS  nearest-value fidelity (ties confined to golden list)")
 
 

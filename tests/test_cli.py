@@ -139,13 +139,33 @@ def test_quantize_negative_axis_is_stored_non_negative(tmp_path):
 @pytest.mark.parametrize("axis", ["2", "5", "-3"])
 @pytest.mark.parametrize("scale", [[], ["--scale", "0.1"]], ids=["searched", "fixed"])
 def test_quantize_axis_out_of_range_exits_4(tmp_path, capsys, axis, scale):
+    # A fixed scale is per-tensor, so --scale with --axis is a usage error
+    # (exit 2) whatever the axis; a searched scale's bad axis exits 4.
     src = str(tmp_path / "w.tensor")
     tensor_io.save_tensor(src, np.ones((4, 6)))
-    rc = cli.main(["quantize", src, "--type", "int", "--signed", "--axis", axis, *scale,
-                   "--out", str(tmp_path / "q.qtensor")])
-    assert rc == cli.EXIT_VALIDATION
+    argv = ["quantize", src, "--type", "int", "--signed", "--axis", axis, *scale,
+            "--out", str(tmp_path / "q.qtensor")]
+    if scale:
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        return
+    assert cli.main(argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: axis {axis} is out of range for a 2-D tensor"]
+
+
+@pytest.mark.parametrize("axis", ["0", "1", "-1"])
+def test_quantize_fixed_scale_with_a_valid_axis_is_a_usage_error(tmp_path, capsys, axis):
+    src, out = str(tmp_path / "w.tensor"), tmp_path / "q.qtensor"
+    tensor_io.save_tensor(src, np.ones((4, 6)))
+    with pytest.raises(SystemExit) as e:
+        cli.main(["quantize", src, "--type", "int", "--signed", "--scale", "0.1",
+                  "--axis", axis, "--out", str(out)])
+    assert e.value.code == 2
+    assert "argument --axis: not allowed with argument --scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

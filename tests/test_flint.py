@@ -1,56 +1,123 @@
 import json
+import math
 import os
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flintq import flint
+from flintq import flint, qtypes
+from flintq.qtypes import NumericType
 
 TABLE_UNSIGNED4 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
 HERE = os.path.dirname(__file__)
 
 
 # ---------------------------------------------------------------------------
-# interval_index / exponent_code
+# The first-one encoder: an integer magnitude split into a first-one exponent
+# code and a mantissa rounded half away from zero, the construction the
+# format is defined by.  It is kept here as an oracle independent of the
+# tables flint.encode reads.  It rounds its input to an integer first, so it
+# is the oracle on the integers only, where that rounding changes nothing.
 # ---------------------------------------------------------------------------
 
+def interval_index(e, b):
+    """Value-interval index i = floor(log2(e)) + 1 for an integer magnitude."""
+    if e < 1 or e > (1 << (2 * b - 2)):
+        raise flint.FlintDomainError(f"magnitude {e} outside [1, 2^{2 * b - 2}] for width {b}")
+    return int(e).bit_length()
+
+
+def exponent_code(b, i):
+    """First-one exponent code (a bit string) for interval i of a b-bit flint;
+    the interval's mantissa width is ``b - len(code)``."""
+    if not 1 <= i <= 2 * b - 1:
+        raise flint.FlintDomainError(f"interval index {i} outside [1, {2 * b - 1}] for width {b}")
+    if i <= b - 1:
+        return "0" * (b - i) + "1"
+    if i == b:
+        return "11"
+    if i <= 2 * b - 2:
+        return "1" + "0" * (i - b) + "1"
+    return "1" + "0" * (b - 1)  # i == 2b - 1, the top interval
+
+
+def mantissa_width(b, i):
+    return b - len(exponent_code(b, i))
+
+
+def first_one_encode(q, b, signed=False):
+    """The code of the integer ``q``: its magnitude, clamped to the range,
+    split into interval and mantissa; unsigned types take negatives to 0."""
+    mag_width = b - 1 if signed else b
+    a = min(abs(q), 1 << (2 * mag_width - 2)) if signed or q > 0 else 0
+    if a == 0:
+        return 0
+    i = interval_index(a, mag_width)
+    mb = mantissa_width(mag_width, i)
+    m = math.floor(Fraction(a - (1 << (i - 1)), 1 << (i - 1)) * (1 << mb) + Fraction(1, 2))
+    if m == 1 << mb:  # the mantissa rounded up into the next interval
+        i, m = i + 1, 0
+        mb = mantissa_width(mag_width, i)
+    code = (int(exponent_code(mag_width, i), 2) << mb) | m
+    return code | (1 << (b - 1)) if signed and q < 0 else code
+
+
 def test_interval_index_examples():
-    assert flint.interval_index(11, 4) == 4
-    assert flint.interval_index(1, 4) == 1
-    assert flint.interval_index(64, 4) == 7  # floor(log2 64) + 1, last table row
+    assert interval_index(11, 4) == 4
+    assert interval_index(1, 4) == 1
+    assert interval_index(64, 4) == 7  # floor(log2 64) + 1, last table row
 
 
 @pytest.mark.parametrize("e", [0, -1, 65])
 def test_interval_index_domain(e):
     with pytest.raises(flint.FlintDomainError):
-        flint.interval_index(e, 4)
+        interval_index(e, 4)
 
 
 def test_exponent_code_examples():
-    assert flint.exponent_code(4, 4) == "11"
-    assert flint.mantissa_width(4, 4) == 2
-    assert flint.exponent_code(4, 1) == "0001"
-    assert flint.mantissa_width(4, 1) == 0
-    assert flint.exponent_code(4, 6) == "1001"
-    assert flint.mantissa_width(4, 6) == 0
+    assert exponent_code(4, 4) == "11"
+    assert mantissa_width(4, 4) == 2
+    assert exponent_code(4, 1) == "0001"
+    assert mantissa_width(4, 1) == 0
+    assert exponent_code(4, 6) == "1001"
+    assert mantissa_width(4, 6) == 0
 
 
 def test_exponent_code_domain():
     with pytest.raises(flint.FlintDomainError):
-        flint.exponent_code(4, 0)
+        exponent_code(4, 0)
     with pytest.raises(flint.FlintDomainError):
-        flint.exponent_code(4, 8)
+        exponent_code(4, 8)
 
 
 @pytest.mark.parametrize("b", range(3, 9))
 def test_exponent_codes_are_prefix_distinct(b):
     # Every interval gets a distinct code that fits the width.
-    codes = [flint.exponent_code(b, i) for i in range(1, 2 * b)]
+    codes = [exponent_code(b, i) for i in range(1, 2 * b)]
     assert len(set(codes)) == len(codes)
     for c in codes:
         assert len(c) <= b
+
+
+FLINT_TYPES = [(b, signed) for b in range(3, 9) for signed in (False, True)]
+
+
+@pytest.mark.parametrize("b,signed", FLINT_TYPES)
+def test_first_one_encoder_gives_the_cell_codes(b, signed):
+    # The code quantize writes for each grid value is the first-one code.
+    t = NumericType("flint", b, signed)
+    want = [first_one_encode(int(v), b, signed) for v in t.grid()]
+    assert qtypes._cell_codes(t).tolist() == want
+
+
+@pytest.mark.parametrize("b,signed", FLINT_TYPES)
+def test_first_one_encoder_matches_encode_on_every_integer(b, signed):
+    # Every integer of the range and a few past each end, both signs; an
+    # unsigned type takes negatives to 0.
+    top = 1 << (2 * (b - signed) - 2)
+    for q in range(-top - 3, top + 4):
+        assert flint.encode(q, b, 1.0, signed).bits == first_one_encode(q, b, signed), q
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +137,8 @@ def test_encode_zero_is_all_zero_code():
 
 
 def test_encode_mantissa_overflow_carries():
-    # 15 is a half-way tie between 14 and 16; rounding half away carries
-    # the mantissa into the next interval.
+    # 15 is a half-way tie between 14 and 16; away from zero is 16, the
+    # first code of the next interval.
     assert flint.decode_value(flint.encode(15, 4)) == 16
 
 
@@ -81,20 +148,29 @@ def test_encode_clamps_to_range():
     assert flint.decode_value(flint.encode(-5.0, 4)) == 0  # unsigned floors at 0
 
 
-def test_round_half_away_arrays_match_floats():
-    # Arrays take an in-place path, floats a scalar one; both round ties
-    # away from zero, and 0.5 - 2**-54 rounds up because |x| + 0.5 does.
-    xs = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
-          -0.49999999999999994, 0.4999999999999999, 2.0**52 + 1, -(2.0**52 + 1), 1e300, -1e300]
-    got = flint.round_half_away(np.array(xs))
-    assert got.tolist() == [float(flint.round_half_away(x)) for x in xs]
-    assert got.tolist() == [0, 0, 1, -1, 2, -2, 3, -3, 1, -1, 0, 2.0**52 + 2, -(2.0**52 + 2),
-                            1e300, -1e300]
+def test_encode_takes_the_nearest_value_of_a_real_input():
+    # Not the integer's: 8.6 rounds to 9, whose tie between 8 and 10 would
+    # go to 10, but 8.6 is nearer 8; 47.6 is nearer 32 than 64.
+    assert flint.decode_value(flint.encode(8.6, 4)) == 8
+    assert flint.decode_value(flint.encode(47.6, 4)) == 32
+    assert flint.decode_value(flint.encode(-4.9, 4, 0.5, signed=True)) == -8
+    assert flint.decode_value(flint.encode(9.0, 4)) == 10  # a tie goes away from zero
 
 
 def test_encode_rejects_bad_scale():
     with pytest.raises(flint.FlintDomainError):
         flint.encode(1.0, 4, 0.0)
+
+
+@pytest.mark.parametrize("e,b", [(float("nan"), 4), (float("inf"), 4), (1.0, 2), (1.0, 9)])
+def test_encode_rejects_non_finite_values_and_bad_widths(e, b):
+    with pytest.raises(flint.FlintDomainError):
+        flint.encode(e, b, 1.0, signed=True)
+
+
+def test_encode_overflowing_quotient_lands_on_the_end_code():
+    assert flint.decode_value(flint.encode(1e308, 4, 1e-300)) == 64
+    assert flint.decode_value(flint.encode(-1e308, 4, 1e-300, signed=True)) == -16
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ them with an all-zero channel; signed and unsigned activations; one layer
 promoted to 8 bits) must reproduce the recorded plan, without its
 manifest, and the recorded ``--mse-csv`` file byte for byte.  The files in
 ``tests/data`` were written by the brute-force-checked sort-once sweep that
-searched one channel at a time; any change to the scale search, the type
-selection, the promotion loop or their serialization shows here.
+searched one channel at a time, and rewritten when every kind's rounding
+became nearest-value (only the pot and flint MSE figures moved); any change
+to the scale search, the type selection, the promotion loop or their
+serialization shows here.
 """
 
 import json
