@@ -61,11 +61,29 @@ def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
 
 
 def _parse_ntype(args: argparse.Namespace) -> NumericType:
-    split = None
-    if args.float_split:
-        e, m = args.float_split.split(",")
-        split = (int(e), int(m))
-    return NumericType(args.type, args.bits, args.signed, split)
+    return NumericType(args.type, args.bits, args.signed, args.float_split)
+
+
+def _float_split(text: str) -> tuple[int, int]:
+    """``--float-split E,M``: two integers."""
+    try:
+        e, m = (int(f) for f in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected E,M (two integers), got {text!r}") from None
+    return e, m
+
+
+def _non_negative(cast):
+    """An argparse type: ``cast(text)``, which must be >= 0 (so not NaN)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a non-negative {cast.__name__}, got {text!r}")
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +198,22 @@ def _write_mse_csv(path: str, plan) -> None:
         w.writerows(rows)
 
 
+def _plan_layer_width(layer: dict, where: str) -> int:
+    """The width of a plan layer's two types, which the integer-path PE must
+    decode, and which must be one width, the layer's stated ``width``."""
+    w, a = tensor_io.plan_layer_types(layer, where)
+    if "float" in (w.kind, a.kind):
+        raise QuantizationError(f"{where}: float types have no integer-path decode "
+                                f"({w.name}, {a.name})")
+    if w.width != a.width:
+        raise QuantizationError(f"{where}: weight type {w.name} and activation type {a.name} "
+                                "differ in width")
+    if layer["width"] != w.width:
+        raise QuantizationError(f"{where}: width {layer['width']} disagrees with its types "
+                                f"({w.name}, {a.name})")
+    return w.width
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = tensor_io.load_model_graph(args.model)
     plan = tensor_io.load_plan(args.plan)
@@ -194,9 +228,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     layers = []
     for gl in graph:
-        pl = plan_layers[gl.layer_id]
-        tensor_io.plan_layer_types(pl, f"{args.plan}: plan layer {gl.layer_id}")
-        layers.append(sim.GemmLayer(gl.layer_id, gl.m, gl.n, gl.k, width=pl["width"]))
+        width = _plan_layer_width(plan_layers[gl.layer_id], f"{args.plan}: plan layer {gl.layer_id}")
+        layers.append(sim.GemmLayer(gl.layer_id, gl.m, gl.n, gl.k, width=width))
     report = sim.simulate_model(cfg, sim.GemmWorkload(layers))
     inputs = [args.model, args.plan] + ([args.config] if args.config else [])
     sim.write_report_json(report, args.out + ".json", manifest=_manifest(args, inputs))
@@ -228,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--float-split", help="E,M for float types")
+    p.add_argument("--float-split", type=_float_split, help="E,M for float types")
     p.add_argument("--csv", help="write CSV instead of stdout")
     p.set_defaults(func=cmd_tables)
 
@@ -237,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--float-split")
+    p.add_argument("--float-split", type=_float_split, help="E,M for float types")
     fixed_or_searched = p.add_mutually_exclusive_group()
     fixed_or_searched.add_argument("--scale", type=float,
                                    help="fixed per-tensor scale (default: MSE scale search)")
@@ -248,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="select types and plan mixed precision")
     p.add_argument("model", help="model graph JSON")
     p.add_argument("--candidates", default=",".join(DEFAULT_CANDIDATES))
-    p.add_argument("--threshold", type=float, default=float("inf"),
+    p.add_argument("--threshold", type=_non_negative(float), default=float("inf"),
                    help="aggregate normalized-MSE target for promotion")
-    p.add_argument("--promote-budget", type=int, help="max layers promoted to 8-bit")
+    p.add_argument("--promote-budget", type=_non_negative(int),
+                   help="max layers promoted to 8-bit")
     p.add_argument("--out", required=True, help="plan JSON path")
     p.add_argument("--mse-csv", help="per-tensor candidate MSE CSV")
     p.set_defaults(func=cmd_select)

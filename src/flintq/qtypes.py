@@ -8,10 +8,10 @@ in uint8 arrays.
 
 Every kind has one rounding rule: ``u = v / scale`` takes its nearest grid
 value, ties away from zero.  The cached threshold table is the midpoints of
-neighbouring grid values.  ``quantize`` finds each element's cell: int and
-flint in closed form from ``2u`` (all their midpoints are multiples of
-1/2), pot and float by searching the table.  It writes the lowest code of
-the cell's value, so every input in the zero cell gets code 0.
+neighbouring grid values.  ``quantize`` finds each element's cell by one
+lookup for every kind: the shifted float64 bits of ``|u|`` index a cached
+table of cells.  It writes the lowest code of the cell's value, so every
+input in the zero cell gets code 0.
 ``fake_quantize`` reads the values straight from the grid.
 
 Code layouts (int, pot and flint are written once, as the integer-path
@@ -61,6 +61,8 @@ class NumericType:
             if e + m + (1 if self.signed else 0) != self.width:
                 raise QuantizationError(f"float split {split} does not fill width {self.width}")
             object.__setattr__(self, "float_split", (e, m))
+        elif self.float_split is not None:
+            raise QuantizationError(f"{self.kind} takes no float split, got {self.float_split}")
 
     @property
     def name(self) -> str:
@@ -217,14 +219,22 @@ def _thresholds(t: NumericType) -> np.ndarray:
 
 
 @functools.cache
-def _half_step_cells(t: NumericType) -> tuple[np.ndarray, int]:
-    """int's and flint's cell of every half-integer ``j / 2``, indexed by
-    ``j + top`` for j in [-top, top], and ``top = 2 max|grid|``.  Their grid
-    values are integers, so every threshold is a multiple of 1/2 and the
-    cell of ``u`` is the cell of ``trunc(2u) / 2``."""
-    top = int(2 * np.abs(_grid(t)).max())
-    cells = np.searchsorted(_thresholds(t), np.arange(-top, top + 1) / 2, side="right")
-    return _read_only(cells), top
+def _bucket_cells(t: NumericType) -> tuple[np.ndarray, int, int, int]:
+    """``(cells, shift, lo, hi)`` of the lookup in ``_cells``.  A magnitude's
+    bucket is its float64 bits shifted right by ``shift``, the largest shift
+    that puts every cell edge (a threshold's magnitude, one ulp further out
+    below zero) on a bucket edge.  Buckets clip to ``[lo, hi]``, one below
+    the lowest edge's to the highest edge's; ``cells`` holds the cell of
+    every positive bucket, then of every negative one."""
+    thr = _thresholds(t)
+    mag = np.abs(thr).view(np.int64)
+    edges = np.where(thr < 0, mag + 1, mag)
+    bits = int(np.bitwise_or.reduce(edges))
+    shift = (bits & -bits).bit_length() - 1
+    lo, hi = int(edges.min() >> shift) - 1, int(edges.max() >> shift)
+    low_ends = (np.arange(lo, hi + 1, dtype=np.int64) << shift).view(np.float64)
+    cells = np.searchsorted(thr, np.concatenate([low_ends, -low_ends]), side="right")
+    return _read_only(cells), shift, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +275,18 @@ def _cells(t: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     ntype = scheme.ntype
     if not ntype.signed and t.size and float(t.min()) < 0:
         raise QuantizationError("unsigned type cannot quantize negative values")
+    cells, shift, lo, hi = _bucket_cells(ntype)
     with np.errstate(over="ignore"):  # an infinite quotient lands on an end cell
         u = np.ravel(t / _broadcast_scales(scheme, t.ndim))
-        if ntype.kind in ("pot", "float"):
-            return np.searchsorted(_thresholds(ntype), u, side="right")
-        # int and flint in closed form, which beats the table search.  Their
-        # thresholds are multiples of 1/2, and the cast truncates:
-        # trunc(2u) = sign(u) floor(2|u|).
-        cells, top = _half_step_cells(ntype)
-        u *= 2
-        np.clip(u, -top, top, out=u)
-    q = u.astype(np.intp)
-    q += top
-    # The lookup overwrites the indices it reads, so it takes no fresh pages.
-    return np.take(cells, q, out=q, mode="clip")
+    negative = u < 0
+    # The buckets overwrite u in place and the sign offset is uint16 (no
+    # table nears 2**16 cells), so few fresh pages are touched.
+    b = np.abs(u, out=u).view(np.int64)
+    b >>= shift
+    np.clip(b, lo, hi, out=b)
+    b -= lo
+    b += np.multiply(negative, hi - lo + 1, dtype=np.uint16)
+    return np.take(cells, b, out=b, mode="clip")
 
 
 def quantize(t: np.ndarray, scheme: QuantScheme) -> QTensor:

@@ -314,23 +314,14 @@ def _normalized_mse(t: np.ndarray, err: float) -> float:
 
 
 def _select_layer(
-    layer: LayerTensors,
-    candidates: Sequence[NumericType],
-    width: int,
+    layer: LayerTensors, candidates: Sequence[NumericType]
 ) -> tuple[SelectionResult, SelectionResult, float]:
-    if width == 8:
-        w_scheme, w_err, w_deg = argmin_mse_scale(layer.weight, INT8, layer.weight_axis)
-        a_type = INT8 if float(np.min(layer.activation)) < 0 else NumericType("int", 8, signed=False)
-        a_scheme, a_err, a_deg = argmin_mse_scale(layer.activation, a_type)
-        w_sel = SelectionResult(INT8, w_scheme, w_err, {INT8.name: w_err}, w_deg)
-        a_sel = SelectionResult(a_type, a_scheme, a_err, {a_type.name: a_err}, a_deg)
-    else:
-        act_candidates = list(candidates)
-        if float(np.min(layer.activation)) >= 0:
-            # Post-ReLU style tensors get the unsigned variants.
-            act_candidates = [NumericType(c.kind, c.width, signed=False) for c in candidates]
-        w_sel = select_type(layer.weight, candidates, layer.weight_axis)
-        a_sel = select_type(layer.activation, act_candidates)
+    act_candidates = list(candidates)
+    if float(np.min(layer.activation)) >= 0:
+        # Post-ReLU style tensors get the unsigned variants.
+        act_candidates = [NumericType(c.kind, c.width, signed=False) for c in candidates]
+    w_sel = select_type(layer.weight, candidates, layer.weight_axis)
+    a_sel = select_type(layer.activation, act_candidates)
     nmse = _normalized_mse(layer.weight, w_sel.mse_value) + _normalized_mse(
         layer.activation, a_sel.mse_value
     )
@@ -358,7 +349,7 @@ def plan_mixed_precision(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        low = pool.map(lambda l: _select_layer(l, candidates, 4), layers)
+        low = pool.map(lambda l: _select_layer(l, candidates), layers)
         plans = [LayerPlan(l.layer_id, *sel) for l, sel in zip(layers, low)]
     # Each layer's share of the aggregate: its 4-bit one, its 8-bit one once promoted.
     terms = [p.normalized_mse for p in plans]
@@ -375,7 +366,7 @@ def plan_mixed_precision(
     while plan.aggregate_mse > threshold and len(promoted) < limit:
         worst = max((i for i, p in enumerate(plans) if p.int8 is None),
                     key=lambda i: plans[i].normalized_mse)
-        w, a, terms[worst] = _select_layer(layers[worst], candidates, 8)
+        w, a, terms[worst] = _select_layer(layers[worst], [INT8])
         plans[worst] = replace(plans[worst], int8=(w, a))
         promoted.append(plans[worst].layer_id)
         plan = build()

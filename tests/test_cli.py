@@ -78,6 +78,28 @@ def test_tables_usage_error_exits_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["select", "m.json", "--out", "p.json", "--promote-budget", "-1", "--threshold", "0"],
+     "--promote-budget"),
+    (["select", "m.json", "--out", "p.json", "--threshold", "nan"], "--threshold"),
+    (["select", "m.json", "--out", "p.json", "--threshold", "-0.5"], "--threshold"),
+    (["tables", "--type", "float", "--float-split", "2"], "--float-split"),
+    (["tables", "--type", "float", "--float-split", "a,b"], "--float-split"),
+    (["tables", "--type", "float", "--float-split", "1,2,3"], "--float-split"),
+    (["quantize", "t.bin", "--type", "float", "--float-split", "2", "--out", "q"], "--float-split"),
+])
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_float_split_on_an_int_type_exits_4(capsys):
+    assert cli.main(["tables", "--type", "int", "--float-split", "2,1"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: int takes no float split")
+
+
 # ---------------------------------------------------------------------------
 # quantize
 # ---------------------------------------------------------------------------

@@ -176,6 +176,32 @@ def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
     assert head == "error: " and key in tail, err
 
 
+@pytest.mark.parametrize("width, weight, activation, message", [
+    (4, ("int", 8), ("int", 8), "width 4 disagrees"),
+    (8, ("int", 4), ("int", 4), "width 8 disagrees"),
+    (4, ("float", 4), ("float", 4), "float types"),
+    (4, ("int", 4), ("flint", 8), "differ in width"),
+])
+def test_inconsistent_plan_layer_exits_4(base_dir, capsys, tmp_path, width, weight, activation,
+                                         message):
+    """The simulator runs each layer at its types' width, which its stated
+    ``width`` must match, on the integer-path PE, which decodes no float."""
+    plan = tmp_path / "plan.json"
+    with open(os.path.join(base_dir, "plan.json")) as f:
+        doc = json.load(f)
+    layer = doc["layers"][0]
+    layer["width"] = width
+    for role, (kind, bits) in (("weightType", weight), ("activationType", activation)):
+        layer[role]["ntype"] = {"kind": kind, "width": bits, "signed": True, "floatSplit": None}
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["simulate", os.path.join(base_dir, "model.json"), str(plan),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and err.count("\n") == 1, err
+    assert err.startswith(f"error: {plan}: plan layer {layer['layerId']}: ") and message in err, err
+
+
 @pytest.mark.parametrize("kind", ["model", "plan", "config", "tensor"])
 @pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "non-utf8"])
 def test_unreadable_input_file_exits_3(base_dir, capsys, tmp_path, kind, content):

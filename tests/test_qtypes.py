@@ -220,7 +220,7 @@ def test_thresholds_match_quantizer(ntype):
     scheme = per_tensor(ntype, 1.0)
     assert quantize(u, scheme).codes.tobytes() == codes.tobytes()
     assert fake_quantize(u, scheme).tobytes() == values.tobytes()
-    # int's and flint's closed form agrees with the table search too.
+    # The bucket lookup agrees with the table search too.
     assert np.array_equal(values, grid[np.searchsorted(thr, u, side="right")])
     if ntype.kind == "flint":
         scalar = [flint.encode(float(x), ntype.width, 1.0, ntype.signed).bits for x in u]
@@ -305,16 +305,44 @@ def test_tables_build_without_flint_encode(monkeypatch):
 
     monkeypatch.setattr(flint, "encode", boom)
     caches = (qtypes._decoded, qtypes._code_values, qtypes._cell_codes, qtypes._grid,
-              qtypes._thresholds, qtypes._half_step_cells)
+              qtypes._thresholds, qtypes._bucket_cells)
     for cache in caches:
         cache.cache_clear()
     for ntype in ALL_TYPES:
         grid, thr = ntype.grid(), ntype.thresholds()
         assert ntype.code_values().size == 1 << ntype.width
         assert thr.size == grid.size - 1 and np.all((grid[:-1] < thr) & (thr <= grid[1:]))
-        if ntype.kind in ("int", "flint"):
-            cells, top = qtypes._half_step_cells(ntype)
-            assert top == 2 * np.abs(grid).max() and cells.size == 2 * top + 1
+        cells, shift, lo, hi = qtypes._bucket_cells(ntype)
+        # _cells adds the negative buckets' offset in uint16.
+        assert 0 < lo < hi and cells.size == 2 * (hi - lo + 1) < 1 << 16
+        assert cells.min() >= 0 and cells.max() < grid.size
+
+
+@pytest.mark.parametrize("ntype", ALL_TYPES, ids=lambda t: t.name)
+def test_every_bucket_lies_in_one_cell(ntype):
+    # The lowest and the highest float64 of every bucket of the lookup, of
+    # either sign, share one cell of the table search, and the lookup gives
+    # it.  The clipped end buckets reach down to 0 and up to the largest
+    # float64.
+    cells, shift, lo, hi = qtypes._bucket_cells(ntype)
+    b = np.arange(lo, hi + 1, dtype=np.int64)
+    low, high = b << shift, ((b + 1) << shift) - 1
+    low[0], high[-1] = 0, np.finfo(np.float64).max.view(np.int64)
+    low, high = low.view(np.float64), high.view(np.float64)
+    thr = ntype.thresholds()
+    for sign, table in ((1.0, cells[:b.size]), (-1.0, cells[b.size:])):
+        want = np.searchsorted(thr, sign * low, side="right")
+        assert np.array_equal(np.searchsorted(thr, sign * high, side="right"), want)
+        assert np.array_equal(table, want)
+        if ntype.signed or sign > 0:
+            u = sign * np.concatenate([low, high])
+            assert np.array_equal(fake_quantize(u, per_tensor(ntype, 1.0)), ntype.grid()[np.tile(want, 2)])
+
+
+@pytest.mark.parametrize("kind", ["int", "pot", "flint"])
+def test_float_split_on_a_non_float_kind_is_rejected(kind):
+    with pytest.raises(QuantizationError, match="float split"):
+        NumericType(kind, 4, True, (2, 1))
 
 
 # ---------------------------------------------------------------------------
