@@ -86,6 +86,15 @@ def _non_negative(cast):
     return parse
 
 
+def _candidate_kinds(text: str) -> list[str]:
+    """``--candidates``: comma-separated kinds of the integer-path datapath."""
+    kinds = [k.strip() for k in text.split(",")]
+    if not set(kinds) <= set(DEFAULT_CANDIDATES):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated kinds among {','.join(DEFAULT_CANDIDATES)}, got {text!r}")
+    return kinds
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -153,8 +162,7 @@ def _load_layer_tensors(layers: list[tensor_io.GraphLayer]) -> list[LayerTensors
 def cmd_select(args: argparse.Namespace) -> int:
     graph = tensor_io.load_model_graph(args.model)
     layer_tensors = _load_layer_tensors(graph)
-    kinds = [k.strip() for k in args.candidates.split(",")]
-    candidates = make_candidates(kinds, width=4, signed=True)
+    candidates = make_candidates(args.candidates, width=4, signed=True)
     plan = plan_mixed_precision(
         layer_tensors,
         candidates,
@@ -200,7 +208,8 @@ def _write_mse_csv(path: str, plan) -> None:
 
 def _plan_layer_width(layer: dict, where: str) -> int:
     """The width of a plan layer's two types, which the integer-path PE must
-    decode, and which must be one width, the layer's stated ``width``."""
+    decode, and which must be one width, the layer's stated ``width``, and
+    one the PE runs (4 or 8)."""
     w, a = tensor_io.plan_layer_types(layer, where)
     if "float" in (w.kind, a.kind):
         raise QuantizationError(f"{where}: float types have no integer-path decode "
@@ -211,6 +220,8 @@ def _plan_layer_width(layer: dict, where: str) -> int:
     if layer["width"] != w.width:
         raise QuantizationError(f"{where}: width {layer['width']} disagrees with its types "
                                 f"({w.name}, {a.name})")
+    if w.width not in (4, 8):
+        raise QuantizationError(f"{where}: width must be 4 or 8, got {w.width}")
     return w.width
 
 
@@ -280,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select types and plan mixed precision")
     p.add_argument("model", help="model graph JSON")
-    p.add_argument("--candidates", default=",".join(DEFAULT_CANDIDATES))
+    p.add_argument("--candidates", type=_candidate_kinds, default=list(DEFAULT_CANDIDATES),
+                   help="comma-separated kinds to choose among (default: int,pot,flint)")
     p.add_argument("--threshold", type=_non_negative(float), default=float("inf"),
                    help="aggregate normalized-MSE target for promotion")
     p.add_argument("--promote-budget", type=_non_negative(int),

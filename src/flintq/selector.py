@@ -2,10 +2,11 @@
 mixed-precision promotion loop.
 
 Scale search sweeps linear clipping ratios of the max-abs value and keeps
-the scale with the lowest quantization MSE.  Type selection runs the scale
-search for every candidate type and keeps the winner.  The promotion loop
-starts every layer at 4 bits and promotes the worst layer (by normalized
-MSE) to 8-bit int until the aggregate normalized MSE meets a threshold.
+the scale with the lowest quantization MSE.  Type selection runs one scale
+search for all candidate types, which sorts each slice once, and keeps the
+winner.  The promotion loop starts every layer at 4 bits and promotes the
+worst layer (by normalized MSE) to 8-bit int until the aggregate normalized
+MSE meets a threshold.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ def _exact_cuts(xs: np.ndarray, thresholds: np.ndarray, scales: np.ndarray) -> n
 
 
 def _sweep_scores(
-    v: np.ndarray, ntype: NumericType, scales: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantization MSE of every row of ``v`` at each of that row's scales
-    (``scales[r]``), from one sort, and a bound on how far each figure may
-    lie from ``mse(fake_quantize(...))`` of the row.
+    v: np.ndarray, ntypes: Sequence[NumericType], scales: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Quantization MSE of every row of ``v`` under each type ``ntypes[i]``
+    at each of that row's scales (``scales[i][r]``), all from one sort of
+    the rows, and a bound on how far each figure may lie from
+    ``mse(fake_quantize(...))`` of the row; one (MSE, bound) pair per type.
 
     With each row sorted and prefix sums P1, P2 of v and v**2, the grid cell
     that dequantizes to ``d`` and holds ``m`` values adds
@@ -112,29 +114,33 @@ def _sweep_scores(
     p1, p2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
     np.cumsum(xs, axis=1, out=p1[:, 1:])
     np.cumsum(np.square(xs), axis=1, out=p2[:, 1:])
-    grid = ntype.grid()
-    edges = np.empty(scales.shape + (grid.size + 1,), dtype=np.int64)
-    edges[..., 0], edges[..., -1] = 0, n
-    edges[..., 1:-1] = _exact_cuts(xs, ntype.thresholds(), scales)
-    flat = edges + np.arange(0, rows * (n + 1), n + 1)[:, None, None]
-    d = grid * scales[..., None]  # as dequantize computes it
-    s1 = np.diff(p1.ravel()[flat], axis=-1)
-    s2 = np.diff(p2.ravel()[flat], axis=-1)
-    del flat
-    # s2 - 2 d s1 + m d d, evaluated in that order, in place.
-    s1 *= 2.0 * d
-    s2 -= s1
-    del s1
-    m = np.diff(edges, axis=-1) * d
-    m *= d
-    s2 += m
-    del m, d
-    est = s2.sum(axis=-1)
-    est /= n
-    d_max = float(np.max(np.abs(grid))) * scales
-    m_total = p2[:, -1:] + 2.0 * d_max * np.abs(xs).sum(axis=1, keepdims=True) + n * d_max * d_max
-    bound = np.finfo(np.float64).eps * (8 * n + 2 * grid.size + 32) * m_total / n
-    return est, bound
+    abs_sum = np.abs(xs).sum(axis=1, keepdims=True)
+    row_start = np.arange(0, rows * (n + 1), n + 1)[:, None, None]
+    scored = []
+    for ntype, sc in zip(ntypes, scales):
+        grid = ntype.grid()
+        edges = np.empty(sc.shape + (grid.size + 1,), dtype=np.int64)
+        edges[..., 0], edges[..., -1] = 0, n
+        edges[..., 1:-1] = _exact_cuts(xs, ntype.thresholds(), sc)
+        flat = edges + row_start
+        d = grid * sc[..., None]  # as dequantize computes it
+        s1 = np.diff(p1.ravel()[flat], axis=-1)
+        s2 = np.diff(p2.ravel()[flat], axis=-1)
+        del flat
+        # s2 - 2 d s1 + m d d, evaluated in that order, in place.
+        s1 *= 2.0 * d
+        s2 -= s1
+        del s1
+        m = np.diff(edges, axis=-1) * d
+        m *= d
+        s2 += m
+        del m, d
+        est = s2.sum(axis=-1)
+        est /= n
+        d_max = float(np.max(np.abs(grid))) * sc
+        m_total = p2[:, -1:] + 2.0 * d_max * abs_sum + n * d_max * d_max
+        scored.append((est, np.finfo(np.float64).eps * (8 * n + 2 * grid.size + 32) * m_total / n))
+    return scored
 
 
 # Rows are swept in blocks whose largest temporary holds at most this many
@@ -142,14 +148,18 @@ def _sweep_scores(
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _best_scales(rows: np.ndarray, ntype: NumericType) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sweep clip ratios on every row of ``rows``; returns each row's scale
-    and MSE, and whether any row was all-zero (its scale falls back to 1.0).
+def _best_scales(
+    rows: np.ndarray, ntypes: Sequence[NumericType]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
+    """Sweep clip ratios on every row of ``rows`` for every type of
+    ``ntypes``; returns each type's (scale, MSE) per row, and whether any
+    row was all-zero (its scale falls back to 1.0).
 
-    Every step of every row is scored from prefix sums; the steps that may
-    hold a row's minimum within the rounding bound are re-scored exactly,
-    so each row's result is that of a plain quantize/dequantize/mse sweep,
-    ties keeping the earlier (smaller) scale.
+    Each block of rows is sorted once for all the types.  Every step of
+    every row is scored from prefix sums; the steps that may hold a row's
+    minimum within the rounding bound are re-scored exactly, so each row's
+    result is that of a plain quantize/dequantize/mse sweep, ties keeping
+    the earlier (smaller) scale.
     """
     max_abs = np.abs(rows).max(axis=1)
     if not np.all(np.isfinite(max_abs)):
@@ -157,29 +167,52 @@ def _best_scales(rows: np.ndarray, ntype: NumericType) -> tuple[np.ndarray, np.n
     zero = max_abs == 0.0  # swept at max_abs 1.0, then given scale 1.0 and MSE 0
     steps = DEFAULT_SWEEP_STEPS
     ratios = np.arange(int(round(steps * DEFAULT_MIN_CLIP_RATIO)), steps + 1)
-    sweep = np.where(zero, 1.0, max_abs)[:, None] * ratios / steps / ntype.max_value()
+    top = np.where(zero, 1.0, max_abs)[:, None]
+    sweeps = [top * ratios / steps / t.max_value() for t in ntypes]
     n = rows.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // max(n, sweep.shape[1] * (ntype.grid().size + 1)))
-    maybe_best = np.empty(sweep.shape, dtype=bool)
+    cells = max(t.grid().size for t in ntypes) + 1
+    block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cells))
+    maybe_best = [np.empty(s.shape, dtype=bool) for s in sweeps]
     for b in range(0, len(rows), block):
-        est, bound = _sweep_scores(rows[b:b + block], ntype, sweep[b:b + block])
-        # A NaN score (overflow) compares False, so its step is re-scored too.
-        maybe_best[b:b + block] = ~(est - bound > np.min(est + bound, axis=1, keepdims=True))
-    row, step = np.nonzero(maybe_best)  # row-major: each row's steps in sweep order
-    cand = sweep[row, step]
-    cand_err = np.empty(cand.size)
+        scored = _sweep_scores(rows[b:b + block], ntypes, [s[b:b + block] for s in sweeps])
+        for mb, (est, bound) in zip(maybe_best, scored):
+            # A NaN score (overflow) compares False, so its step is re-scored too.
+            mb[b:b + block] = ~(est - bound > np.min(est + bound, axis=1, keepdims=True))
     block = max(1, _BLOCK_ELEMENTS // n)
-    for b in range(0, cand.size, block):
-        # One candidate per row (the usual case): the rows themselves, not a copy.
-        x = rows[b:b + block] if cand.size == len(rows) else rows[row[b:b + block]]
-        fq = fake_quantize(x, QuantScheme(ntype, cand[b:b + block], axis=0))
-        fq -= x
-        cand_err[b:b + block] = np.mean(np.square(fq, out=fq), axis=1)
-    # Lowest error per row; the stable sort keeps the earliest step on a tie.
-    pick = np.lexsort((cand_err, row))[np.searchsorted(row, np.arange(len(rows)))]
-    scales, errs = cand[pick], cand_err[pick]
-    scales[zero], errs[zero] = 1.0, 0.0
-    return scales, errs, bool(zero.any())
+    found = []
+    for ntype, sweep, mb in zip(ntypes, sweeps, maybe_best):
+        row, step = np.nonzero(mb)  # row-major: each row's steps in sweep order
+        cand = sweep[row, step]
+        cand_err = np.empty(cand.size)
+        for b in range(0, cand.size, block):
+            # One candidate per row (the usual case): the rows themselves, not a copy.
+            x = rows[b:b + block] if cand.size == len(rows) else rows[row[b:b + block]]
+            fq = fake_quantize(x, QuantScheme(ntype, cand[b:b + block], axis=0))
+            fq -= x
+            cand_err[b:b + block] = np.mean(np.square(fq, out=fq), axis=1)
+        # Lowest error per row; the stable sort keeps the earliest step on a tie.
+        pick = np.lexsort((cand_err, row))[np.searchsorted(row, np.arange(len(rows)))]
+        scales, errs = cand[pick], cand_err[pick]
+        scales[zero], errs[zero] = 1.0, 0.0
+        found.append((scales, errs))
+    return found, bool(zero.any())
+
+
+def _search(
+    t: np.ndarray, ntypes: Sequence[NumericType], axis: int | None
+) -> tuple[list[tuple[QuantScheme, float]], bool]:
+    """The scale search of ``t`` for every type of ``ntypes`` at once: each
+    type's scheme and overall MSE, and the all-zero-slice flag."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.size == 0:
+        raise QuantizationError("cannot search scales on an empty tensor")
+    axis = check_axis(axis, t.ndim)
+    if axis is None:
+        found, degenerate = _best_scales(t.reshape(1, -1), ntypes)
+        return [(QuantScheme(nt, s), float(e[0])) for nt, (s, e) in zip(ntypes, found)], degenerate
+    found, degenerate = _best_scales(np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1), ntypes)
+    schemes = [QuantScheme(nt, s, axis=axis) for nt, (s, _) in zip(ntypes, found)]
+    return [(sc, mse(fake_quantize(t, sc), t)) for sc in schemes], degenerate
 
 
 def argmin_mse_scale(
@@ -194,17 +227,8 @@ def argmin_mse_scale(
     MSE, and a flag set when any slice was all-zero (its scale falls back
     to 1.0).
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.size == 0:
-        raise QuantizationError("cannot search scales on an empty tensor")
-    axis = check_axis(axis, t.ndim)
-    if axis is None:
-        scales, errs, degenerate = _best_scales(t.reshape(1, -1), ntype)
-        return QuantScheme(ntype, scales), float(errs[0]), degenerate
-    rows = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
-    scales, _, degenerate = _best_scales(rows, ntype)
-    scheme = QuantScheme(ntype, scales, axis=axis)
-    return scheme, mse(fake_quantize(t, scheme), t), degenerate
+    [(scheme, err)], degenerate = _search(t, [ntype], axis)
+    return scheme, err, degenerate
 
 
 def select_type(
@@ -222,10 +246,10 @@ def select_type(
     effective = [c for c in candidates if c.signed or not has_neg]
     if not effective:
         raise QuantizationError("no usable candidate types (negatives with all-unsigned list)")
+    found, degenerate = _search(t, effective, axis)
     best = None
     per_mse: dict[str, float] = {}
-    for cand in effective:
-        scheme, err, degenerate = argmin_mse_scale(t, cand, axis)
+    for cand, (scheme, err) in zip(effective, found):
         per_mse[cand.name] = err
         if best is None or err < best.mse_value:
             best = SelectionResult(cand, scheme, err, per_mse, degenerate)

@@ -256,5 +256,4 @@ def write_report_csv(report: SimReport, path: str) -> None:
 
 def write_report_json(report: SimReport, path: str, manifest: dict | None = None) -> None:
     with open(path, "w") as f:
-        json.dump(report_to_json(report, manifest), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(report_to_json(report, manifest), indent=2, sort_keys=True) + "\n")

@@ -284,8 +284,7 @@ def load_model_graph(path: str) -> list[GraphLayer]:
 
 def save_plan(path: str, plan_json: dict) -> None:
     with open(path, "w") as f:
-        json.dump(plan_json, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(plan_json, indent=2, sort_keys=True) + "\n")
 
 
 def load_plan(path: str) -> dict:

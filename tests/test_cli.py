@@ -87,6 +87,10 @@ def test_tables_usage_error_exits_2():
     (["tables", "--type", "float", "--float-split", "a,b"], "--float-split"),
     (["tables", "--type", "float", "--float-split", "1,2,3"], "--float-split"),
     (["quantize", "t.bin", "--type", "float", "--float-split", "2", "--out", "q"], "--float-split"),
+    # float has no integer-path decode, so simulate would refuse its plan
+    (["select", "m.json", "--out", "p.json", "--candidates", "float"], "--candidates"),
+    (["select", "m.json", "--out", "p.json", "--candidates", "foo"], "--candidates"),
+    (["select", "m.json", "--out", "p.json", "--candidates", "int,,pot"], "--candidates"),
 ])
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as e:
@@ -205,6 +209,13 @@ def test_select_writes_plan_with_manifest(tmp_path):
     m = plan["manifest"]
     assert m["command"] == "select" and m["version"]
     assert "model.json" in m["inputs"] and len(m["inputs"]) == 3
+
+
+def test_select_candidates_subset(tmp_path):
+    rc, _, plan_path = run_select(tmp_path, "--candidates", " flint, int")
+    assert rc == 0
+    for l in tensor_io.load_plan(plan_path)["layers"]:
+        assert set(l["weightType"]["perCandidateMse"]) == {"flint4", "int4"}
 
 
 def test_select_promote_budget(tmp_path):

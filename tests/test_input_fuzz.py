@@ -181,6 +181,7 @@ def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
     (8, ("int", 4), ("int", 4), "width 8 disagrees"),
     (4, ("float", 4), ("float", 4), "float types"),
     (4, ("int", 4), ("flint", 8), "differ in width"),
+    (5, ("int", 5), ("int", 5), "width must be 4 or 8, got 5"),
 ])
 def test_inconsistent_plan_layer_exits_4(base_dir, capsys, tmp_path, width, weight, activation,
                                          message):

@@ -62,8 +62,8 @@ def test_scale_search_ties_keep_smaller_scale(monkeypatch):
         rescored.extend(scheme.scales.tolist())
         return np.zeros_like(x)  # every step's error is mean(x**2) = 1.0
 
-    monkeypatch.setattr(selector_mod, "_sweep_scores",
-                        lambda v, t, scales: (np.zeros(scales.shape), np.zeros(scales.shape)))
+    monkeypatch.setattr(selector_mod, "_sweep_scores", lambda v, types, scales: [
+        (np.zeros(s.shape), np.zeros(s.shape)) for s in scales])
     monkeypatch.setattr(selector_mod, "fake_quantize", zero_fake_quantize)
     scheme, err, _ = argmin_mse_scale(np.array([1.0, -1.0]), INT4)
     assert err == 1.0
@@ -169,7 +169,8 @@ def test_sweep_scores_within_bound_of_exact_mse(ntype):
     for v in (edges, wide):
         v = _for_type(np.append(v[np.abs(v) < max_abs], max_abs), ntype)
         sweep = v.max() * steps / 100 / ntype.max_value()
-        est, bound = (a[0] for a in selector_mod._sweep_scores(v[None], ntype, sweep[None]))
+        [(est, bound)] = selector_mod._sweep_scores(v[None], [ntype], [sweep[None]])
+        est, bound = est[0], bound[0]
         exact = [mse(fake_quantize(v, QuantScheme(ntype, np.array([s]))), v) for s in sweep]
         assert np.all(np.abs(est - exact) <= bound)
         assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
@@ -309,6 +310,87 @@ def test_select_type_negative_input_keeps_signed_only():
     sel = select_type(np.array([-3.0, 1.0, 2.0]), mixed)
     assert sel.ntype.signed
     assert "int4" in sel.per_candidate_mse  # the signed int candidate ran
+
+
+ALL_TYPES = [NumericType(k, w, s) for k in KINDS for w in range(3, 9) for s in (False, True)]
+MIXED = [NumericType(k, w)  # grids of 15 to 256 values
+         for k, w in (("int", 4), ("pot", 4), ("flint", 4), ("float", 4), ("int", 8))]
+
+
+def _with_zero_row():
+    t = _channels((6, 20), 0, 12)
+    t[4] = 0.0
+    return t
+
+
+# (tensor, axis); with an 8-bit candidate each block holds one row, with
+# 4-bit ones only the 30-row tensor spans two blocks.
+SHARED_SORT_CASES = {
+    "per-tensor": (np.random.default_rng(13).laplace(size=(20, 15)), None),
+    "per-channel": (_channels((4, 10), 1, 14), 1),
+    "per-channel over several blocks": (_channels((30, 12), 0, 15), 0),
+    "all-zero row": (_with_zero_row(), 0),
+}
+
+
+def _check_select_type_matches_one_type_searches(t, axis, types):
+    sel = select_type(t, types, axis)
+    effective = [c for c in types if c.signed or not np.any(t < 0)]
+    found, deg = selector_mod._search(t, effective, axis)
+    assert list(sel.per_candidate_mse) == [c.name for c in effective]
+    for ntype, (scheme, err) in zip(effective, found):
+        want, want_err, want_deg = argmin_mse_scale(t, ntype, axis)
+        assert (scheme.ntype, scheme.axis) == (want.ntype, want.axis)
+        assert scheme.scales.tolist() == want.scales.tolist(), ntype.name
+        assert err == want_err == sel.per_candidate_mse[ntype.name], ntype.name
+        assert deg == want_deg == sel.degenerate
+    errs = [err for _, err in found]
+    assert sel.ntype == effective[errs.index(min(errs))]  # ties keep the earlier type
+    assert sel.scheme.scales.tolist() == found[errs.index(min(errs))][0].scales.tolist()
+
+
+@pytest.mark.parametrize("case", SHARED_SORT_CASES)
+def test_select_type_matches_one_type_search_for_every_type(case):
+    # One search sorts each row once for all candidates; every type's
+    # scales and MSE must still be those of a search for that type alone.
+    t, axis = SHARED_SORT_CASES[case]
+    _check_select_type_matches_one_type_searches(np.abs(t), axis, ALL_TYPES)
+    _check_select_type_matches_one_type_searches(t, axis, ALL_TYPES)  # signed ones only
+
+
+@pytest.mark.parametrize("case", SHARED_SORT_CASES)
+def test_select_type_mixed_grid_sizes_match_plain_sweep(case):
+    t, axis = SHARED_SORT_CASES[case]
+    _check_select_type_matches_one_type_searches(t, axis, MIXED)
+    found, _ = selector_mod._search(t, MIXED, axis)
+    slices = [t] if axis is None else list(np.moveaxis(t, axis, 0))
+    for ntype, (scheme, _) in zip(MIXED, found):
+        want = [_plain_sweep(s.ravel(), ntype)[0] for s in slices]
+        assert scheme.scales.tolist() == want, ntype.name
+
+
+@pytest.mark.parametrize("types", [[INT4], CANDS, MIXED, MIXED[::-1], [selector_mod.INT8]],
+                         ids=lambda ts: ",".join(t.name for t in ts))
+def test_select_type_sorts_each_block_once(monkeypatch, types):
+    # The sort and prefix sums of a block do not depend on the type: one
+    # select_type call sorts each block once, whatever the number of
+    # candidates, in blocks sized for the largest grid among them.
+    sorted_rows = []
+    real_sort = np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        sorted_rows.append(len(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    t = SHARED_SORT_CASES["per-channel over several blocks"][0]
+    cells = max(c.grid().size for c in types) + 1
+    block = selector_mod._BLOCK_ELEMENTS // max(t.shape[1], 81 * cells)
+    select_type(t, types, axis=0)
+    assert sorted_rows == [block] * (len(t) // block) + [len(t) % block] * (len(t) % block > 0)
+    sorted_rows.clear()
+    select_type(t, types)
+    assert sorted_rows == [1]  # per-tensor: one row
 
 
 def test_ntype_json_roundtrip():
