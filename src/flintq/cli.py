@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -54,7 +55,7 @@ def _digest(path: str) -> str:
 def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     return {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "version": __version__,
         "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
     }
@@ -169,7 +170,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         max_promotions=args.promote_budget,
     )
-    inputs = [args.model] + [l.weight_path for l in graph]
+    inputs = [args.model] + [p for l in graph for p in [l.weight_path, *l.calibration_paths]]
     doc = plan.to_json()
     doc["manifest"] = _manifest(args, inputs)
     tensor_io.save_plan(args.out, doc)
@@ -227,7 +228,8 @@ def _plan_layer_width(layer: dict, where: str) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = tensor_io.load_model_graph(args.model)
-    plan = tensor_io.load_plan(args.plan)
+    # Only ids, widths and ntypes are read: the scales and MSEs stay undecoded.
+    plan = tensor_io.load_plan(args.plan, parse_float=str.encode)
     plan_layers = {l["layerId"]: l for l in plan["layers"]}
     missing = [l.layer_id for l in graph if l.layer_id not in plan_layers]
     if missing:
@@ -258,6 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flintq",
@@ -315,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # what the manifest records
     try:
         return args.func(args)
     except (OSError, tensor_io.TensorIOError) as exc:

@@ -42,7 +42,7 @@ def _require_type(value, where: str, *types: type):
     """Return ``value`` if its exact type is one of ``types``."""
     if type(value) not in types:
         want = " or ".join(_JSON_NAMES[t] for t in types)
-        got = json.dumps(value)
+        got = json.dumps(value, default=float)  # number text read as bytes prints as its number
         if len(got) > 40:
             got = got[:37] + "..."
         raise TensorIOError(f"{where}: expected {want}, got {got}")
@@ -95,14 +95,17 @@ def _require_shape(header: dict, path: str) -> tuple[int, ...]:
 
 
 def _load_ntype(doc, where: str) -> NumericType:
-    """The numeric type an ``ntype`` object names; its width must be an
-    integer, ``signed`` true or false and ``floatSplit`` null or two integers."""
+    """The numeric type an ``ntype`` object names; its kind must be a string,
+    its width an integer, ``signed`` true or false and ``floatSplit`` null or
+    two integers."""
     _require(doc, NTYPE_KEYS, where)
+    _require_type(doc["kind"], f"{where} kind", str)
     _require_int(doc, "width", where)
     _require_type(doc["signed"], f"{where} signed", bool)
     split = _require_type(doc.get("floatSplit"), f"{where} floatSplit", list, type(None))
     if split is not None and (len(split) != 2 or any(type(v) is not int for v in split)):
-        raise TensorIOError(f"{where} floatSplit: expected two integers, got {json.dumps(split)}")
+        raise TensorIOError(f"{where} floatSplit: expected two integers, "
+                            f"got {json.dumps(split, default=float)}")
     return ntype_from_json(doc)
 
 
@@ -117,13 +120,14 @@ def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
     return _require(header, keys, f"{path}: header")
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse_float=float):
     """A JSON document file; bytes that are not UTF-8 or not JSON are a
-    malformed input file."""
+    malformed input file.  ``parse_float`` is ``json.loads``'s: it maps the
+    text of each number with a fraction or an exponent to its value."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), parse_float=parse_float)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TensorIOError(f"{path}: malformed JSON: {exc}") from exc
 
@@ -287,12 +291,21 @@ def save_plan(path: str, plan_json: dict) -> None:
         f.write(json.dumps(plan_json, indent=2, sort_keys=True) + "\n")
 
 
-def load_plan(path: str) -> dict:
-    doc = _require(_load_json(path), ("layers",), path)
+def load_plan(path: str, parse_float=float) -> dict:
+    """A plan whose layers each have a unique string ``layerId`` and an
+    integer ``width``.  A caller that reads none of its fractional numbers
+    (scales, MSEs) may pass ``parse_float=str.encode`` to keep each as its
+    JSON text, in ``bytes``: no JSON value decodes to ``bytes``, so every
+    check that wants a string, an integer or a boolean still rejects one."""
+    doc = _require(_load_json(path, parse_float), ("layers",), path)
+    seen = set()
     for layer in _require_type(doc["layers"], f"{path}: layers", list):
         _require(layer, ("layerId", "width"), f"{path}: plan layer")
-        _require_type(layer["layerId"], f"{path}: plan layer layerId", str)
-        _require_int(layer, "width", f"{path}: plan layer {layer['layerId']}")
+        lid = _require_type(layer["layerId"], f"{path}: plan layer layerId", str)
+        _require_int(layer, "width", f"{path}: plan layer {lid}")
+        if lid in seen:
+            raise TensorIOError(f"{path}: duplicate plan layer id {lid!r}")
+        seen.add(lid)
     return doc
 
 

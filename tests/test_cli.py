@@ -208,7 +208,8 @@ def test_select_writes_plan_with_manifest(tmp_path):
         assert set(l["weightType"]["perCandidateMse"]) == {"int4", "pot4", "flint4"}
     m = plan["manifest"]
     assert m["command"] == "select" and m["version"]
-    assert "model.json" in m["inputs"] and len(m["inputs"]) == 3
+    # The model, and the weight and calibration tensors of both layers.
+    assert set(m["inputs"]) == {"model.json", "w0.bin", "w1.bin", "a0.bin", "a1.bin"}
 
 
 def test_select_candidates_subset(tmp_path):
@@ -244,6 +245,40 @@ def test_select_mse_csv(tmp_path):
             assert float(r["mse_normalized_to_flint"]) == 1.0
     chosen = [r for r in rows if r["chosen"] == "1"]
     assert len(chosen) == 4
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    """An in-process call records its own argv, not the host's; ``main()``
+    with no argv records the process's."""
+    monkeypatch.setattr("sys.argv", ["flintq", "extra", "args", "here"])
+    model = make_model(tmp_path)
+    plan = str(tmp_path / "plan.json")
+    select = ["select", model, "--out", plan]
+    assert cli.main(select) == 0
+    assert tensor_io.load_plan(plan)["manifest"]["argv"] == select
+    out = str(tmp_path / "r")
+    simulate = ["simulate", model, plan, "--out", out]
+    assert cli.main(simulate) == 0
+    with open(out + ".json") as f:
+        assert json.load(f)["manifest"]["argv"] == simulate
+    monkeypatch.setattr("sys.argv", ["flintq", *simulate, "--dataflow", "ws"])
+    assert cli.main() == 0
+    with open(out + ".json") as f:
+        assert json.load(f)["manifest"]["argv"] == [*simulate, "--dataflow", "ws"]
+
+
+def test_calls_in_one_process_share_no_parsed_state(tmp_path, capsys):
+    """The parser is built once; each call still parses its own argv."""
+    assert cli.build_parser() is cli.build_parser()
+    rc, model, plan = run_select(tmp_path, "--candidates", "flint")
+    assert rc == 0
+    assert cli.main(["select", model, "--out", plan]) == 0
+    for l in tensor_io.load_plan(plan)["layers"]:
+        assert set(l["weightType"]["perCandidateMse"]) == {"int4", "pot4", "flint4"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["select", model, "--out", plan, "--threshold", "-1"])
+    assert exc.value.code == 2
+    assert cli.main(["simulate", model, plan, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_select_missing_model_exits_3(tmp_path):
@@ -308,6 +343,39 @@ def test_simulate_dataflow_flag_overrides_only_the_config_dataflow(tmp_path, mon
     rc, _ = _plan_then_simulate(tmp_path, "os", config=cfg_path)
     assert rc == 0
     assert seen == [sim.ArrayConfig(n=32, dataflow="os", energy=sim.EnergyTable(mac4=2.0))]
+
+
+def _fractions_changed(doc):
+    """``doc`` with every number that has a fraction or an exponent changed."""
+    if isinstance(doc, dict):
+        return {k: _fractions_changed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_fractions_changed(v) for v in doc]
+    return doc * 3 + 0.25 if type(doc) is float else doc
+
+
+def test_simulate_reads_no_fractional_plan_number(tmp_path, capsys):
+    """Scales, MSEs and ``aggregateMse`` leave the report as it was."""
+    rc, model, plan = run_select(tmp_path)
+    assert rc == 0
+    changed = str(tmp_path / "changed.json")
+    with open(plan) as f:
+        doc = json.load(f)
+    new = _fractions_changed(doc)
+    assert new["layers"][0]["weightType"]["scales"] != doc["layers"][0]["weightType"]["scales"]
+    assert new["aggregateMse"] != doc["aggregateMse"]
+    tensor_io.save_plan(changed, new)
+    outputs = []
+    for p in (plan, changed):
+        capsys.readouterr()
+        out = str(tmp_path / "r")
+        assert cli.main(["simulate", model, p, "--out", out]) == 0
+        with open(out + ".json") as f:
+            report = json.load(f)
+        assert report.pop("manifest")["argv"][2] == p
+        with open(out + ".csv", "rb") as f:
+            outputs.append((report, f.read(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_plan_mismatch_exits_5(tmp_path):

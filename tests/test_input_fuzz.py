@@ -203,6 +203,68 @@ def test_inconsistent_plan_layer_exits_4(base_dir, capsys, tmp_path, width, weig
     assert err.startswith(f"error: {plan}: plan layer {layer['layerId']}: ") and message in err, err
 
 
+NUMBER = "<number>"
+
+
+def _simulate_plan(base_dir, capsys, tmp_path, doc, text=None):
+    """Exit code and stderr of ``simulate`` on the plan ``doc``, in which the
+    string ``NUMBER`` stands for the raw JSON number ``text``."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc).replace(json.dumps(NUMBER), text or ""))
+    capsys.readouterr()
+    rc = cli.main(["simulate", os.path.join(base_dir, "model.json"), str(plan),
+                   "--out", str(tmp_path / "r")])
+    return rc, capsys.readouterr().err, str(plan)
+
+
+W_NTYPE, A_NTYPE = (("layers", 0, role, "ntype") for role in ("weightType", "activationType"))
+# A number with a fraction or an exponent where no number of that kind
+# belongs: (field, number text, what the message says after the plan path).
+MISPLACED_NUMBERS = [
+    (("layers",), "2.5", "layers: expected a JSON list, got 2.5"),
+    (("layers", 0, "layerId"), "2.5", "plan layer layerId: expected a string, got 2.5"),
+    *((("layers", 0, "width"), text, f"plan layer l0 width: expected an integer, got {got}")
+      for text, got in [("4.0", "4.0"), ("4e0", "4.0"), ("1e400", "Infinity")]),
+    *((W_NTYPE + ("width",), text,
+       f"plan layer l0 weightType ntype width: expected an integer, got {got}")
+      for text, got in [("4.0", "4.0"), ("4e0", "4.0"), ("1e400", "Infinity")]),
+    (A_NTYPE + ("signed",), "2.5",
+     "plan layer l0 activationType ntype signed: expected true or false, got 2.5"),
+    (W_NTYPE + ("floatSplit",), "[2.5, 1]",
+     "plan layer l0 weightType ntype floatSplit: expected two integers, got [2.5, 1]"),
+    (W_NTYPE + ("kind",), "2.5", "plan layer l0 weightType ntype kind: expected a string, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("path, text, message", MISPLACED_NUMBERS,
+                         ids=[f"{'.'.join(map(str, p))}-{t}" for p, t, _ in MISPLACED_NUMBERS])
+def test_plan_number_where_none_belongs_exits_3(base_dir, capsys, tmp_path, path, text, message):
+    """``simulate`` leaves a plan's fractional numbers undecoded; each one
+    in a field that takes none is still reported as its number."""
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    rc, err, plan = _simulate_plan(base_dir, capsys, tmp_path, _mutated(doc, path, NUMBER), text)
+    assert rc == cli.EXIT_INPUT and err == f"error: {plan}: {message}\n", err
+
+
+@pytest.mark.parametrize("text", ["1.2.3", "1e", ".5", "01", "-", "1."])
+def test_malformed_number_in_plan_scales_exits_3(base_dir, capsys, tmp_path, text):
+    """The scales go undecoded, but the JSON grammar of each is still checked."""
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    doc = _mutated(doc, ("layers", 1, "activationType", "scales", 0), NUMBER)
+    rc, err, plan = _simulate_plan(base_dir, capsys, tmp_path, doc, text)
+    assert rc == cli.EXIT_INPUT and err.count("\n") == 1, err
+    assert err.startswith(f"error: {plan}: malformed JSON: "), err
+
+
+def test_plan_listing_a_layer_twice_exits_3(base_dir, capsys, tmp_path):
+    """A second ``l0`` with the other layer's types is not simulated in
+    place of the first."""
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    doc["layers"].append({**doc["layers"][1], "layerId": "l0"})
+    rc, err, plan = _simulate_plan(base_dir, capsys, tmp_path, doc)
+    assert rc == cli.EXIT_INPUT and err == f"error: {plan}: duplicate plan layer id 'l0'\n", err
+
+
 @pytest.mark.parametrize("kind", ["model", "plan", "config", "tensor"])
 @pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "non-utf8"])
 def test_unreadable_input_file_exits_3(base_dir, capsys, tmp_path, kind, content):
