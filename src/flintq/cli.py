@@ -53,11 +53,15 @@ def _digest(path: str) -> str:
 
 
 def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
+    """Each input's digest is keyed by its path relative to the model's
+    directory, so two files of one name in different directories keep
+    one digest each."""
+    root = os.path.dirname(os.path.abspath(args.model))
     return {
         "command": args.command,
         "argv": args.argv,
         "version": __version__,
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
+        "inputs": {os.path.relpath(p, root): _digest(p) for p in inputs if p},
     }
 
 

@@ -2,11 +2,15 @@
 mixed-precision promotion loop.
 
 Scale search sweeps linear clipping ratios of the max-abs value and keeps
-the scale with the lowest quantization MSE.  Type selection runs one scale
-search for all candidate types, which sorts each slice once, and keeps the
-winner.  The promotion loop starts every layer at 4 bits and promotes the
-worst layer (by normalized MSE) to 8-bit int until the aggregate normalized
-MSE meets a threshold.
+the scale with the lowest quantization MSE.  A slice with fewer than
+``_DIRECT_VALUES_PER_CELL`` values per grid cell of a type is scored by
+quantizing it at every step, which is cheaper below the crossover measured
+there; longer slices are sorted once for all such types and scored from
+prefix sums, with the near-best steps re-scored exactly.  Type selection
+runs one scale search for all candidate types and keeps the winner.  The
+promotion loop starts every layer at 4 bits and promotes the worst layer
+(by normalized MSE) to 8-bit int until the aggregate normalized MSE meets a
+threshold.
 """
 
 from __future__ import annotations
@@ -147,6 +151,14 @@ def _sweep_scores(
 # elements, so memory stays bounded whatever the channel count or width.
 _BLOCK_ELEMENTS = 1 << 15
 
+# A type whose rows hold fewer than this many values per grid cell is scored
+# directly: quantizing a short row at all 81 steps costs less than cutting
+# it 81 times at every grid threshold.  Measured on Laplace rows (2-CPU
+# Xeon): int8 (257 cells) took 0.18x the prefix-sum time at 256 values per
+# row, 0.5x at 1024 and 0.7-1.0x at 1536 (16-256 rows), but 1.2x at 2048
+# with 64 or more rows; int4, pot4 and flint4 break even near 80 values.
+_DIRECT_VALUES_PER_CELL = 6
+
 
 def _best_scales(
     rows: np.ndarray, ntypes: Sequence[NumericType]
@@ -155,11 +167,14 @@ def _best_scales(
     ``ntypes``; returns each type's (scale, MSE) per row, and whether any
     row was all-zero (its scale falls back to 1.0).
 
-    Each block of rows is sorted once for all the types.  Every step of
-    every row is scored from prefix sums; the steps that may hold a row's
-    minimum within the rounding bound are re-scored exactly, so each row's
-    result is that of a plain quantize/dequantize/mse sweep, ties keeping
-    the earlier (smaller) scale.
+    A type whose rows hold fewer than ``_DIRECT_VALUES_PER_CELL`` values
+    per grid cell (``grid().size + 1`` cells) is scored directly: every
+    step of every row is re-scored exactly.  For the other types, each
+    block of rows is sorted once; every step is scored from prefix sums,
+    and only the steps that may hold a row's minimum within the rounding
+    bound are re-scored exactly.  Either way each row's result is that of
+    a plain quantize/dequantize/mse sweep, ties keeping the earlier
+    (smaller) scale.
     """
     max_abs = np.abs(rows).max(axis=1)
     if not np.all(np.isfinite(max_abs)):
@@ -170,14 +185,19 @@ def _best_scales(
     top = np.where(zero, 1.0, max_abs)[:, None]
     sweeps = [top * ratios / steps / t.max_value() for t in ntypes]
     n = rows.shape[1]
-    cells = max(t.grid().size for t in ntypes) + 1
-    block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cells))
-    maybe_best = [np.empty(s.shape, dtype=bool) for s in sweeps]
-    for b in range(0, len(rows), block):
-        scored = _sweep_scores(rows[b:b + block], ntypes, [s[b:b + block] for s in sweeps])
-        for mb, (est, bound) in zip(maybe_best, scored):
-            # A NaN score (overflow) compares False, so its step is re-scored too.
-            mb[b:b + block] = ~(est - bound > np.min(est + bound, axis=1, keepdims=True))
+    # The types scored from prefix sums; every step of the others is re-scored.
+    swept = [i for i, t in enumerate(ntypes) if n >= _DIRECT_VALUES_PER_CELL * (t.grid().size + 1)]
+    maybe_best = [np.full(s.shape, i not in swept) for i, s in enumerate(sweeps)]
+    if swept:
+        cells = max(ntypes[i].grid().size for i in swept) + 1
+        block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cells))
+        for b in range(0, len(rows), block):
+            scored = _sweep_scores(rows[b:b + block], [ntypes[i] for i in swept],
+                                   [sweeps[i][b:b + block] for i in swept])
+            for i, (est, bound) in zip(swept, scored):
+                # A NaN score (overflow) compares False, so its step is re-scored too.
+                maybe_best[i][b:b + block] = ~(est - bound
+                                               > np.min(est + bound, axis=1, keepdims=True))
     block = max(1, _BLOCK_ELEMENTS // n)
     found = []
     for ntype, sweep, mb in zip(ntypes, sweeps, maybe_best):

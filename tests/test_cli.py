@@ -212,6 +212,27 @@ def test_select_writes_plan_with_manifest(tmp_path):
     assert set(m["inputs"]) == {"model.json", "w0.bin", "w1.bin", "a0.bin", "a1.bin"}
 
 
+def test_manifest_keys_inputs_by_path_from_the_model(tmp_path):
+    # Two layers read files of the same names from different directories:
+    # each file keeps its own digest.
+    rng = np.random.default_rng(4)
+    layers = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        tensor_io.save_tensor(str(tmp_path / d / "w.bin"), rng.normal(size=(4, 8)))
+        tensor_io.save_tensor(str(tmp_path / d / "x.bin"), np.abs(rng.normal(size=32)))
+        layers.append({"layerId": d, "kind": "gemm", "M": 4, "N": 4, "K": 8,
+                       "weightTensor": f"{d}/w.bin", "calibrationActivations": [f"{d}/x.bin"]})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"layers": layers}))
+    plan = str(tmp_path / "plan.json")
+    assert cli.main(["select", str(model), "--out", plan]) == 0
+    inputs = tensor_io.load_plan(plan)["manifest"]["inputs"]
+    want = {"model.json": model, **{f"{d}/{f}": tmp_path / d / f
+                                    for d in ("a", "b") for f in ("w.bin", "x.bin")}}
+    assert inputs == {k: cli._digest(str(p)) for k, p in want.items()}
+
+
 def test_select_candidates_subset(tmp_path):
     rc, _, plan_path = run_select(tmp_path, "--candidates", " flint, int")
     assert rc == 0

@@ -55,17 +55,22 @@ def test_scale_search_ties_keep_smaller_scale(monkeypatch):
     # Exact MSE ties are vanishingly rare with real data, so force one: every
     # step gets the same prefix-sum score, so every step is re-scored, and
     # every re-score is the same.  The tie must resolve to the smaller scale
-    # (the earlier sweep step).
-    rescored = []
+    # (the earlier sweep step).  The row is long enough to be prefix-scored.
+    rescored, swept = [], []
+
+    def equal_scores(v, types, scales):
+        swept.append(len(v))
+        return [(np.zeros(s.shape), np.zeros(s.shape)) for s in scales]
 
     def zero_fake_quantize(x, scheme):
         rescored.extend(scheme.scales.tolist())
         return np.zeros_like(x)  # every step's error is mean(x**2) = 1.0
 
-    monkeypatch.setattr(selector_mod, "_sweep_scores", lambda v, types, scales: [
-        (np.zeros(s.shape), np.zeros(s.shape)) for s in scales])
+    monkeypatch.setattr(selector_mod, "_sweep_scores", equal_scores)
     monkeypatch.setattr(selector_mod, "fake_quantize", zero_fake_quantize)
-    scheme, err, _ = argmin_mse_scale(np.array([1.0, -1.0]), INT4)
+    row = np.tile([1.0, -1.0], 17 * selector_mod._DIRECT_VALUES_PER_CELL)  # int4 has 17 cells
+    scheme, err, _ = argmin_mse_scale(row, INT4)
+    assert swept == [1]
     assert err == 1.0
     steps = DEFAULT_SWEEP_STEPS - round(DEFAULT_SWEEP_STEPS * DEFAULT_MIN_CLIP_RATIO) + 1
     assert len(set(rescored)) == len(rescored) == steps
@@ -195,15 +200,19 @@ def test_sweep_matches_plain_sweep_large(dist):
 
 @pytest.mark.parametrize("ntype", SWEEP_TYPES, ids=lambda t: t.name)
 def test_sweep_matches_plain_sweep_per_channel(ntype):
+    # 40-value rows are scored directly for every type; 120-value rows for
+    # the 8-bit types only; rows of more than 8 * 257 values from prefix sums
+    # for every type.
     rng = np.random.default_rng(11)
-    rows = [_draw(d, rng, 120) * 10.0 ** rng.uniform(-3, 3) for d in DISTS]
-    rows.append(np.zeros(120))  # an all-zero channel falls back to scale 1.0
-    t = _for_type(np.stack(rows), ntype)
-    scheme, err, deg = argmin_mse_scale(t, ntype, axis=0)
-    want = [_plain_sweep(row, ntype)[0] for row in t]
-    assert scheme.scales.tolist() == want
-    assert err == mse(fake_quantize(t, QuantScheme(ntype, np.array(want), axis=0)), t)
-    assert deg
+    for n in (40, 120, 8 * 257 + 1):
+        rows = [_draw(d, rng, n) * 10.0 ** rng.uniform(-3, 3) for d in DISTS]
+        rows.append(np.zeros(n))  # an all-zero channel falls back to scale 1.0
+        t = _for_type(np.stack(rows), ntype)
+        scheme, err, deg = argmin_mse_scale(t, ntype, axis=0)
+        want = [_plain_sweep(row, ntype)[0] for row in t]
+        assert scheme.scales.tolist() == want, n
+        assert err == mse(fake_quantize(t, QuantScheme(ntype, np.array(want), axis=0)), t), n
+        assert deg
 
 
 def _channels(shape, axis, seed):
@@ -228,6 +237,11 @@ CHANNEL_CASES = {
     "single-element channels": (_channels((12, 1), 0, 4), 0),
     "zero channels between live ones": (_zero_between(), 0),
     "8-bit channels over several blocks": (_channels((13, 40), 0, 6), 0),
+    # Rows long enough for prefix-sum scores: 8-bit ones (one row per block
+    # at the module's size), and 4-bit ones over two blocks (the 8-bit types
+    # score 110-value rows directly).
+    "8-bit channels over several prefix-sum blocks": (_channels((13, 1600), 0, 7), 0),
+    "4-bit channels over several prefix-sum blocks": (_channels((30, 110), 0, 8), 0),
 }
 
 
@@ -323,13 +337,15 @@ def _with_zero_row():
     return t
 
 
-# (tensor, axis); with an 8-bit candidate each block holds one row, with
-# 4-bit ones only the 30-row tensor spans two blocks.
+# (tensor, axis).  Channels of 20 values or fewer are scored directly for
+# every type; 400-value ones directly for 7- and 8-bit types, and from
+# prefix sums, over several blocks, for the others.
 SHARED_SORT_CASES = {
     "per-tensor": (np.random.default_rng(13).laplace(size=(20, 15)), None),
     "per-channel": (_channels((4, 10), 1, 14), 1),
     "per-channel over several blocks": (_channels((30, 12), 0, 15), 0),
     "all-zero row": (_with_zero_row(), 0),
+    "per-channel on both sides of the direct rule": (_channels((20, 400), 0, 16), 0),
 }
 
 
@@ -369,12 +385,8 @@ def test_select_type_mixed_grid_sizes_match_plain_sweep(case):
         assert scheme.scales.tolist() == want, ntype.name
 
 
-@pytest.mark.parametrize("types", [[INT4], CANDS, MIXED, MIXED[::-1], [selector_mod.INT8]],
-                         ids=lambda ts: ",".join(t.name for t in ts))
-def test_select_type_sorts_each_block_once(monkeypatch, types):
-    # The sort and prefix sums of a block do not depend on the type: one
-    # select_type call sorts each block once, whatever the number of
-    # candidates, in blocks sized for the largest grid among them.
+def _count_sorts(monkeypatch):
+    """The row count of every ``np.sort`` call from now on."""
     sorted_rows = []
     real_sort = np.sort
 
@@ -383,14 +395,66 @@ def test_select_type_sorts_each_block_once(monkeypatch, types):
         return real_sort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", counting_sort)
-    t = SHARED_SORT_CASES["per-channel over several blocks"][0]
+    return sorted_rows
+
+
+def _blocks(rows, block):
+    return [block] * (rows // block) + [rows % block] * (rows % block > 0)
+
+
+LONG_ROWS = _channels((30, 1600), 0, 15)  # prefix-scored by every type up to 8 bits
+
+
+@pytest.mark.parametrize("types", [[INT4], CANDS, MIXED, MIXED[::-1], [selector_mod.INT8]],
+                         ids=lambda ts: ",".join(t.name for t in ts))
+def test_select_type_sorts_each_block_once(monkeypatch, types):
+    # The sort and prefix sums of a block do not depend on the type: one
+    # select_type call sorts each block once, whatever the number of
+    # candidates, in blocks sized for the largest grid among them.
+    t = LONG_ROWS
     cells = max(c.grid().size for c in types) + 1
-    block = selector_mod._BLOCK_ELEMENTS // max(t.shape[1], 81 * cells)
+    assert t.shape[1] >= selector_mod._DIRECT_VALUES_PER_CELL * cells
+    sorted_rows = _count_sorts(monkeypatch)
     select_type(t, types, axis=0)
-    assert sorted_rows == [block] * (len(t) // block) + [len(t) % block] * (len(t) % block > 0)
+    block = selector_mod._BLOCK_ELEMENTS // max(t.shape[1], 81 * cells)
+    assert sorted_rows == _blocks(len(t), block)
     sorted_rows.clear()
     select_type(t, types)
     assert sorted_rows == [1]  # per-tensor: one row
+
+
+def test_select_type_sorts_only_for_prefix_scored_types(monkeypatch):
+    # Rows scored directly are never sorted, and the blocks are sized for
+    # the grids of the prefix-scored types alone.
+    sorted_rows = _count_sorts(monkeypatch)
+    select_type(SHARED_SORT_CASES["per-channel over several blocks"][0], MIXED, axis=0)
+    assert sorted_rows == []  # 12 values per row: every type is scored directly
+    t = _channels((30, 400), 0, 16)  # int8 scores 400-value rows directly, 4-bit types do not
+    select_type(t, MIXED, axis=0)
+    assert sorted_rows == _blocks(len(t), selector_mod._BLOCK_ELEMENTS // (81 * 17))
+
+
+class _PrefixScored(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ntype", [INT4, selector_mod.INT8], ids=lambda t: t.name)
+def test_row_length_picks_the_scoring_path(monkeypatch, ntype):
+    # Rows under _DIRECT_VALUES_PER_CELL values per grid cell never reach the
+    # prefix-sum scores; rows of that many values or more always do.
+    def refuse(v, types, scales):
+        raise _PrefixScored
+
+    monkeypatch.setattr(selector_mod, "_sweep_scores", refuse)
+    edge = selector_mod._DIRECT_VALUES_PER_CELL * (ntype.grid().size + 1)
+    short = [edge - 1, 512] if ntype.width == 8 else [edge - 1]
+    for n in short:
+        t = _channels((3, n), 0, n)
+        scheme, _, _ = argmin_mse_scale(t, ntype, axis=0)
+        assert scheme.scales.tolist() == [_plain_sweep(row, ntype)[0] for row in t]
+    for n in (edge, 8 * 257 + 1):
+        with pytest.raises(_PrefixScored):
+            argmin_mse_scale(_channels((3, n), 0, n), ntype, axis=0)
 
 
 def test_ntype_json_roundtrip():
