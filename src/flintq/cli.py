@@ -30,6 +30,7 @@ from .qtypes import NumericType, QuantScheme, QuantizationError, quantize
 from .selector import (
     DEFAULT_CANDIDATES,
     LayerTensors,
+    argmin_mse_scale,
     make_candidates,
     plan_mixed_precision,
 )
@@ -137,8 +138,6 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     if args.scale is not None:
         scheme = QuantScheme(ntype, np.array([args.scale]))
     else:
-        from .selector import argmin_mse_scale
-
         scheme, _, _ = argmin_mse_scale(t, ntype, axis=args.axis)
     q = quantize(t, scheme)
     tensor_io.save_qtensor(args.out, q)

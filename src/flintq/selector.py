@@ -8,14 +8,13 @@ quantizing it at every step, which is cheaper below the crossover measured
 there; longer slices are sorted once for all such types and scored from
 prefix sums, with the near-best steps re-scored exactly.  Type selection
 runs one scale search for all candidate types and keeps the winner.  The
-promotion loop starts every layer at 4 bits and promotes the worst layer
-(by normalized MSE) to 8-bit int until the aggregate normalized MSE meets a
-threshold.
+promotion loop selects every layer's 4-bit types on one thread, in model
+order, and promotes the worst layer (by normalized MSE) to 8-bit int until
+the aggregate normalized MSE meets a threshold.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -30,7 +29,8 @@ DEFAULT_SWEEP_STEPS = 100
 DEFAULT_MIN_CLIP_RATIO = 0.2
 
 # The integer-path datapath covers int, pot, and flint; float has no
-# (base, exponent) decode, so it stays an opt-in candidate.
+# (base, exponent) decode, so only library callers may pass it as a
+# candidate (``select --candidates`` rejects it).
 DEFAULT_CANDIDATES = ("int", "pot", "flint")
 
 
@@ -357,6 +357,15 @@ def _normalized_mse(t: np.ndarray, err: float) -> float:
     return err / power if power > 0 else 0.0
 
 
+def _sum_in_order(terms: Sequence[float]) -> float:
+    """Plain left-to-right float sum; the built-in ``sum`` compensates its
+    rounding since Python 3.12, which would move the plan's aggregate bits."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _select_layer(
     layer: LayerTensors, candidates: Sequence[NumericType]
 ) -> tuple[SelectionResult, SelectionResult, float]:
@@ -387,31 +396,16 @@ def plan_mixed_precision(
     layer at 8 bits the loop always terminates.
     """
     candidates = list(candidates) if candidates is not None else make_candidates()
-    # Per-layer selection is independent and map keeps the layer order, so
-    # the plan does not depend on the thread count.  Imported here: the
-    # module pulls in logging, which every start-up would pay for.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        low = pool.map(lambda l: _select_layer(l, candidates), layers)
-        plans = [LayerPlan(l.layer_id, *sel) for l, sel in zip(layers, low)]
+    plans = [LayerPlan(l.layer_id, *_select_layer(l, candidates)) for l in layers]
     # Each layer's share of the aggregate: its 4-bit one, its 8-bit one once promoted.
     terms = [p.normalized_mse for p in plans]
     promoted: list[str] = []
 
-    def build() -> PrecisionPlan:
-        total = 0.0
-        for term in terms:
-            total += term
-        return PrecisionPlan(list(plans), total, list(promoted))
-
-    plan = build()
     limit = len(layers) if max_promotions is None else min(max_promotions, len(layers))
-    while plan.aggregate_mse > threshold and len(promoted) < limit:
+    while _sum_in_order(terms) > threshold and len(promoted) < limit:
         worst = max((i for i, p in enumerate(plans) if p.int8 is None),
                     key=lambda i: plans[i].normalized_mse)
         w, a, terms[worst] = _select_layer(layers[worst], [INT8])
         plans[worst] = replace(plans[worst], int8=(w, a))
         promoted.append(plans[worst].layer_id)
-        plan = build()
-    return plan
+    return PrecisionPlan(plans, _sum_in_order(terms), promoted)

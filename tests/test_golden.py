@@ -13,10 +13,13 @@ serialization shows here.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flintq
 from flintq import cli, tensor_io
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -76,12 +79,42 @@ def select_outputs(out_dir) -> tuple[str, bytes]:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_select_reproduces_golden_plan_and_mse_csv(tmp_path, monkeypatch, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)  # the selection pool's size
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)  # the plan never depends on it
     plan_text, csv_bytes = select_outputs(str(tmp_path))
     with open(GOLDEN_PLAN) as f:
         assert plan_text == f.read()
     with open(GOLDEN_MSE_CSV, "rb") as f:
         assert csv_bytes == f.read()
+
+
+# Counts the threads that ``select`` starts in a fresh interpreter, and
+# whether it loaded concurrent.futures; prints the exit code and both.
+_THREAD_PROBE = """
+import json, sys, threading
+starts = []
+_start = threading.Thread.start
+def _counting_start(self):
+    starts.append(self.name)
+    _start(self)
+threading.Thread.start = _counting_start
+from flintq import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "starts": starts,
+                  "futures": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_select_starts_no_thread(tmp_path):
+    model = write_golden_model(str(tmp_path))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(flintq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, "select", model, "--threshold", THRESHOLD,
+         "--out", str(tmp_path / "plan.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    probe = json.loads(out.stdout.splitlines()[-1])
+    assert probe == {"rc": 0, "starts": [], "futures": False}
 
 
 def test_golden_model_covers_the_selection_paths():
