@@ -97,9 +97,11 @@ def encode(e: float, b: int, s: float = 1.0, signed: bool = False) -> FlintCode:
 
     ``e / s`` takes its nearest grid value, ties away from zero: beyond the
     grid's ends the end value, so an unsigned type takes a negative value to 0.
+    A scale that is not finite and positive raises FlintDomainError, as
+    ``QuantScheme`` rejects it.
     """
-    if s <= 0:
-        raise FlintDomainError(f"scale must be positive, got {s}")
+    if not (math.isfinite(s) and s > 0):
+        raise FlintDomainError(f"scale must be finite and positive, got {s}")
     if not MIN_WIDTH <= b <= MAX_WIDTH:
         raise FlintDomainError(f"flint width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {b}")
     if not math.isfinite(e):

@@ -5,12 +5,14 @@ Scale search sweeps linear clipping ratios of the max-abs value and keeps
 the scale with the lowest quantization MSE.  A slice with fewer than
 ``_DIRECT_VALUES_PER_CELL`` values per grid cell of a type is scored by
 quantizing it at every step, which is cheaper below the crossover measured
-there; longer slices are sorted once for all such types and scored from
-prefix sums, with the near-best steps re-scored exactly.  Type selection
-runs one scale search for all candidate types and keeps the winner.  The
-promotion loop selects every layer's 4-bit types on one thread, in model
-order, and promotes the worst layer (by normalized MSE) to 8-bit int until
-the aggregate normalized MSE meets a threshold.
+there; longer slices are sorted once for all such types, cut by one
+``searchsorted`` of the thresholds times each scale, and scored from
+prefix sums, with the steps within a rounding bound of the best re-scored
+exactly.  Type selection runs one scale search for all candidate types
+and keeps the winner.  The promotion loop selects every layer's 4-bit
+types on one thread, in model order, and promotes the worst layer (by
+normalized MSE) to 8-bit int until the aggregate normalized MSE meets a
+threshold.
 """
 
 from __future__ import annotations
@@ -67,35 +69,6 @@ def ntype_from_json(d: dict) -> NumericType:
     return NumericType(d["kind"], d["width"], d["signed"], tuple(split) if split else None)
 
 
-def _exact_cuts(xs: np.ndarray, thresholds: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """``#{x in xs[r] : x / scales[r, i] < thresholds[j]}`` for every row r
-    of the row-sorted ``xs``, its scales i and the thresholds j.
-
-    ``quantize`` compares ``x / scale`` with the unit-scale thresholds, but
-    ``searchsorted`` needs ``threshold * scale``, which may be an ulp off.
-    Each cut is then moved over whole runs of equal values until the
-    division agrees on both sides of it.
-    """
-    rows, n = xs.shape
-    thr = np.broadcast_to(thresholds, scales.shape + thresholds.shape)
-    s = np.broadcast_to(scales[..., None], thr.shape)
-    targets = thr * s
-    cuts = np.empty(thr.shape, dtype=np.int64)
-    for r in range(rows):  # searchsorted takes one sorted array at a time
-        cuts[r] = np.searchsorted(xs[r], targets[r])
-    flat, base = xs.ravel(), np.arange(0, rows * n, n)[:, None, None]
-    while True:
-        below = flat[base + np.maximum(cuts - 1, 0)]
-        above = flat[base + np.minimum(cuts, n - 1)]
-        down = (cuts > 0) & (below / s >= thr)
-        up = (cuts < n) & (above / s < thr)
-        if not (down.any() or up.any()):
-            return cuts
-        for r in np.flatnonzero((down | up).any(axis=(1, 2))):
-            cuts[r][down[r]] = np.searchsorted(xs[r], below[r][down[r]], side="left")
-            cuts[r][up[r]] = np.searchsorted(xs[r], above[r][up[r]], side="right")
-
-
 def _sweep_scores(
     v: np.ndarray, ntypes: Sequence[NumericType], scales: Sequence[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -106,12 +79,17 @@ def _sweep_scores(
 
     With each row sorted and prefix sums P1, P2 of v and v**2, the grid cell
     that dequantizes to ``d`` and holds ``m`` values adds
-    ``P2 - 2 d P1 + m d**2`` to the squared error.  The bound covers the
-    rounding of both figures: with u the unit roundoff, n the row length, G
-    grid cells and D the largest |d|, they differ by at most
-    ``(6n + G + 12) u M / n`` with M = sum v**2 + 2 D sum|v| + n D**2
-    (sequential-summation error bounds); the bound returned is over twice
-    that.
+    ``P2 - 2 d P1 + m d**2`` to the squared error.  Each row is cut at
+    ``threshold * scale``, where ``quantize`` compares ``v / scale`` with
+    the threshold; both round once, so a value may land in the cell next to
+    its own only when its quotient q lies within u|t| of threshold t (u the
+    unit roundoff), and t lies within one ulp of the midpoint of its two
+    grid values.  Such a value's squared error then moves by at most
+    ``3 u D**2``, D the largest |d|.  The bound covers this and the rounding
+    of both figures: with n the row length and G grid cells, they differ by
+    at most ``(6n + G + 15) u M / n`` with M = sum v**2 + 2 D sum|v| +
+    n D**2 (sequential-summation error bounds, no underflow); the bound
+    returned is over twice that.
     """
     xs = np.sort(v, axis=1)
     rows, n = xs.shape
@@ -125,7 +103,9 @@ def _sweep_scores(
         grid = ntype.grid()
         edges = np.empty(sc.shape + (grid.size + 1,), dtype=np.int64)
         edges[..., 0], edges[..., -1] = 0, n
-        edges[..., 1:-1] = _exact_cuts(xs, ntype.thresholds(), sc)
+        thresholds = ntype.thresholds()
+        for r in range(rows):  # searchsorted takes one sorted array at a time
+            edges[r, :, 1:-1] = np.searchsorted(xs[r], thresholds * sc[r][:, None])
         flat = edges + row_start
         d = grid * sc[..., None]  # as dequantize computes it
         s1 = np.diff(p1.ravel()[flat], axis=-1)
@@ -153,10 +133,10 @@ _BLOCK_ELEMENTS = 1 << 15
 
 # A type whose rows hold fewer than this many values per grid cell is scored
 # directly: quantizing a short row at all 81 steps costs less than cutting
-# it 81 times at every grid threshold.  Measured on Laplace rows (2-CPU
-# Xeon): int8 (257 cells) took 0.18x the prefix-sum time at 256 values per
-# row, 0.5x at 1024 and 0.7-1.0x at 1536 (16-256 rows), but 1.2x at 2048
-# with 64 or more rows; int4, pot4 and flint4 break even near 80 values.
+# it 81 times at every grid threshold.  Measured on 16 and 64 Laplace rows
+# (2-CPU Xeon): int8 (257 cells) took 0.2-0.3x the prefix-sum time at 256
+# values per row, 0.55-0.8x at 1024 and 0.8-1.2x at 1536, but 1.4-1.7x at
+# 2048; int4, pot4 and flint4 break even near 80 values.
 _DIRECT_VALUES_PER_CELL = 6
 
 
@@ -369,6 +349,9 @@ def _sum_in_order(terms: Sequence[float]) -> float:
 def _select_layer(
     layer: LayerTensors, candidates: Sequence[NumericType]
 ) -> tuple[SelectionResult, SelectionResult, float]:
+    for role, t in (("weight", layer.weight), ("activation", layer.activation)):
+        if np.size(t) == 0:
+            raise QuantizationError(f"layer {layer.layer_id}: the {role} tensor holds no values")
     act_candidates = list(candidates)
     if float(np.min(layer.activation)) >= 0:
         # Post-ReLU style tensors get the unsigned variants.

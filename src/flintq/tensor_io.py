@@ -226,8 +226,10 @@ CONV_KEYS = ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw")
 
 def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
     """im2col dims: M = batch*H_out*W_out, K = C*Kh*Kw, N = out channels."""
-    if dims.stride < 1:
-        raise TensorIOError(f"stride must be at least 1, got {dims.stride}")
+    for key, value, low in (("stride", dims.stride, 1), ("pad", dims.pad, 0),
+                            ("Kh", dims.kh, 1), ("Kw", dims.kw, 1)):
+        if value < low:
+            raise TensorIOError(f"{key} must be at least {low}, got {value}")
     h_out = (dims.height + 2 * dims.pad - dims.kh) // dims.stride + 1
     w_out = (dims.width + 2 * dims.pad - dims.kw) // dims.stride + 1
     if h_out <= 0 or w_out <= 0:
@@ -253,7 +255,10 @@ def _layer_from_json(d, path: str) -> GraphLayer:
         dims = ConvDims(*(_require_int(d, key, where) for key in CONV_KEYS),
                         stride=_require_int(d, "stride", where, 1),
                         pad=_require_int(d, "pad", where, 0))
-        m, n, k = lower_conv_to_gemm(dims)
+        try:
+            m, n, k = lower_conv_to_gemm(dims)
+        except TensorIOError as exc:
+            raise TensorIOError(f"{where}: {exc}") from None
     else:
         raise TensorIOError(f"{where}: unknown layer kind {kind!r}")
     weight = _require_type(d.get("weightTensor"), f"{where} weightTensor", str, type(None))

@@ -10,6 +10,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -230,20 +231,20 @@ def test_criterion_round_trips(tmp_path, capsys):
     tp = str(tmp_path / "t.tensor")
     tensor_io.save_tensor(tp, t, name="rt")
     tensor_io.save_tensor(str(tmp_path / "t2.tensor"), tensor_io.load_tensor(tp), name="rt")
-    assert open(tp, "rb").read() == open(str(tmp_path / "t2.tensor"), "rb").read()
+    assert Path(tp).read_bytes() == (tmp_path / "t2.tensor").read_bytes()
 
     q = quantize(t, QuantScheme(NumericType("flint", 4, True), np.array([0.2])))
     qp = str(tmp_path / "t.q")
     tensor_io.save_qtensor(qp, q)
     tensor_io.save_qtensor(str(tmp_path / "t2.q"), tensor_io.load_qtensor(qp))
-    assert open(qp, "rb").read() == open(str(tmp_path / "t2.q"), "rb").read()
+    assert Path(qp).read_bytes() == (tmp_path / "t2.q").read_bytes()
     assert np.array_equal(dequantize(tensor_io.load_qtensor(qp)), dequantize(q))
 
     plan = {"layers": [{"layerId": "a", "width": 4}], "aggregateMse": 0.25}
     pp = str(tmp_path / "plan.json")
     tensor_io.save_plan(pp, plan)
     tensor_io.save_plan(str(tmp_path / "plan2.json"), tensor_io.load_plan(pp))
-    assert open(pp).read() == open(str(tmp_path / "plan2.json")).read()
+    assert Path(pp).read_text() == (tmp_path / "plan2.json").read_text()
 
     report = sim.simulate_model(
         sim.ArrayConfig(), sim.GemmWorkload([sim.GemmLayer("a", 64, 64, 64)])
@@ -255,7 +256,7 @@ def test_criterion_round_trips(tmp_path, capsys):
     with open(str(tmp_path / "rep2.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    assert open(rp).read() == open(str(tmp_path / "rep2.json")).read()
+    assert Path(rp).read_text() == (tmp_path / "rep2.json").read_text()
 
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -302,6 +302,16 @@ def test_calls_in_one_process_share_no_parsed_state(tmp_path, capsys):
     assert cli.main(["simulate", model, plan, "--out", str(tmp_path / "r")]) == 0
 
 
+@pytest.mark.parametrize("role", ["weight", "activation"])
+def test_select_empty_tensor_exits_4_naming_the_layer(tmp_path, capsys, role):
+    model = make_model(tmp_path)
+    tensor_io.save_tensor(str(tmp_path / ("w1.bin" if role == "weight" else "a1.bin")),
+                          np.zeros((0, 16) if role == "weight" else 0))
+    capsys.readouterr()
+    assert cli.main(["select", model, "--out", str(tmp_path / "plan.json")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: layer fc1: the {role} tensor holds no values\n"
+
+
 def test_select_missing_model_exits_3(tmp_path):
     rc = cli.main(["select", str(tmp_path / "no.json"), "--out", str(tmp_path / "p")])
     assert rc == cli.EXIT_INPUT

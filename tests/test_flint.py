@@ -162,6 +162,13 @@ def test_encode_rejects_bad_scale():
         flint.encode(1.0, 4, 0.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_encode_rejects_non_finite_scale(s):
+    # QuantScheme rejects these scales too, so quantize gives no code to match.
+    with pytest.raises(flint.FlintDomainError):
+        flint.encode(1.0, 4, s)
+
+
 @pytest.mark.parametrize("e,b", [(float("nan"), 4), (float("inf"), 4), (1.0, 2), (1.0, 9)])
 def test_encode_rejects_non_finite_values_and_bad_widths(e, b):
     with pytest.raises(flint.FlintDomainError):

@@ -203,6 +203,21 @@ def test_inconsistent_plan_layer_exits_4(base_dir, capsys, tmp_path, width, weig
     assert err.startswith(f"error: {plan}: plan layer {layer['layerId']}: ") and message in err, err
 
 
+@pytest.mark.parametrize("key, value, low", [("stride", 0, 1), ("pad", -1, 0), ("Kh", 0, 1),
+                                            ("Kw", 0, 1)])
+def test_conv_dims_out_of_range_exit_3_naming_the_layer(base_dir, capsys, tmp_path, key, value,
+                                                        low):
+    model = tmp_path / "model.json"
+    doc, _ = _read(os.path.join(base_dir, "model.json"), "model")
+    model.write_text(json.dumps(_mutated(doc, ("layers", 1, key), value)))
+    capsys.readouterr()
+    rc = cli.main(["simulate", str(model), os.path.join(base_dir, "plan.json"),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT
+    assert err == f"error: {model}: model layer l1: {key} must be at least {low}, got {value}\n"
+
+
 NUMBER = "<number>"
 
 

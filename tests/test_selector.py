@@ -164,8 +164,8 @@ def test_sweep_scores_within_bound_of_exact_mse(ntype):
     # The re-score picks the plain sweep's step only if every prefix-sum
     # score lies within its bound of the exact MSE.  Values on and one ulp
     # either side of threshold * scale, where x / scale and threshold *
-    # scale can disagree, test the cut correction; a wide draw tests the
-    # rounding bound.
+    # scale can disagree, test that the bound covers cuts an ulp off; a
+    # wide draw tests the rounding bound.
     max_abs, steps = 3.0, np.arange(20, 101)
     scales = max_abs * steps / 100 / ntype.max_value()
     on = (ntype.thresholds()[None, :] * scales[::4, None]).ravel()

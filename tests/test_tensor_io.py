@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,10 +162,13 @@ def test_lower_conv_kernel_too_big():
         tensor_io.lower_conv_to_gemm(tensor_io.ConvDims(1, 1, 2, 2, 1, 5, 5))
 
 
-@pytest.mark.parametrize("stride", [0, -1])
-def test_lower_conv_rejects_stride_below_one(stride):
-    with pytest.raises(tensor_io.TensorIOError, match="stride"):
-        tensor_io.lower_conv_to_gemm(tensor_io.ConvDims(1, 1, 4, 4, 1, 3, 3, stride=stride))
+@pytest.mark.parametrize("field, value", [("stride", 0), ("stride", -1), ("pad", -1),
+                                          ("kh", 0), ("kw", 0)])
+def test_lower_conv_rejects_dims_out_of_range(field, value):
+    # A negative pad or an empty kernel can still give a positive output size.
+    dims = replace(tensor_io.ConvDims(1, 1, 8, 8, 1, 3, 3), **{field: value})
+    with pytest.raises(tensor_io.TensorIOError, match=f"(?i)^{field} must be at least"):
+        tensor_io.lower_conv_to_gemm(dims)
 
 
 # ---------------------------------------------------------------------------
