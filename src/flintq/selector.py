@@ -90,13 +90,21 @@ def _sweep_scores(
     at most ``(6n + G + 15) u M / n`` with M = sum v**2 + 2 D sum|v| +
     n D**2 (sequential-summation error bounds, no underflow); the bound
     returned is over twice that.
+
+    The cuts of a row are searched threshold-major: each threshold times
+    every scale of the row, one after the other, so the needles of one
+    threshold run one way along the sweep and ``searchsorted`` starts each
+    search from the previous one's bracket.  The needles are the products
+    ``threshold * scale`` whatever the order, so the cuts are too.  Only
+    the sorted rows and their two prefix sums are as long as the rows.
     """
     xs = np.sort(v, axis=1)
     rows, n = xs.shape
     p1, p2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
     np.cumsum(xs, axis=1, out=p1[:, 1:])
-    np.cumsum(np.square(xs), axis=1, out=p2[:, 1:])
-    abs_sum = np.abs(xs).sum(axis=1, keepdims=True)
+    # |v| and then v**2 pass through p2's storage, so no other full-length row is made.
+    abs_sum = np.abs(xs, out=p2[:, 1:]).sum(axis=1, keepdims=True)
+    np.cumsum(np.square(xs, out=p2[:, 1:]), axis=1, out=p2[:, 1:])
     row_start = np.arange(0, rows * (n + 1), n + 1)[:, None, None]
     scored = []
     for ntype, sc in zip(ntypes, scales):
@@ -105,7 +113,7 @@ def _sweep_scores(
         edges[..., 0], edges[..., -1] = 0, n
         thresholds = ntype.thresholds()
         for r in range(rows):  # searchsorted takes one sorted array at a time
-            edges[r, :, 1:-1] = np.searchsorted(xs[r], thresholds * sc[r][:, None])
+            edges[r, :, 1:-1] = np.searchsorted(xs[r], thresholds[:, None] * sc[r]).T
         flat = edges + row_start
         d = grid * sc[..., None]  # as dequantize computes it
         s1 = np.diff(p1.ravel()[flat], axis=-1)
@@ -127,16 +135,21 @@ def _sweep_scores(
     return scored
 
 
-# Rows are swept in blocks whose largest temporary holds at most this many
-# elements, so memory stays bounded whatever the channel count or width.
+# Rows are swept in blocks, and re-scored in blocks and column chunks, whose
+# temporaries hold at most this many elements, so memory stays bounded
+# whatever the channel count or width.  A longer row is held whole only
+# sorted, in its two prefix sums and in one row of squared errors.
 _BLOCK_ELEMENTS = 1 << 15
 
 # A type whose rows hold fewer than this many values per grid cell is scored
 # directly: quantizing a short row at all 81 steps costs less than cutting
 # it 81 times at every grid threshold.  Measured on 16 and 64 Laplace rows
-# (2-CPU Xeon): int8 (257 cells) took 0.2-0.3x the prefix-sum time at 256
-# values per row, 0.55-0.8x at 1024 and 0.8-1.2x at 1536, but 1.4-1.7x at
-# 2048; int4, pot4 and flint4 break even near 80 values.
+# (2-CPU Xeon, best of 15 alternating calls, 3 fresh interpreters): int8
+# (257 cells) took 0.23-0.3x the prefix-sum time at 256 values per row,
+# 0.7x at 1024, 0.86-1.3x at 1536 and 1.04-1.3x at 1792, but 1.15-1.46x at
+# 2048, so it breaks even near 6 values per cell.  int4, pot4 and flint4
+# together break even near 48 values (0.84-0.92x at 32, 1.2-1.36x at 64),
+# under 3 per cell, so 4-bit rows of 48-101 values take the dearer path.
 _DIRECT_VALUES_PER_CELL = 6
 
 
@@ -155,8 +168,15 @@ def _best_scales(
     bound are re-scored exactly.  Either way each row's result is that of
     a plain quantize/dequantize/mse sweep, ties keeping the earlier
     (smaller) scale.
+
+    The re-score copies each block of candidate rows into one buffer,
+    reused by every type, and turns it into squared errors in place.  Each
+    ``fake_quantize`` takes at most ``_BLOCK_ELEMENTS`` values: a block of
+    short rows, or a column chunk of a longer row.  The mean of each buffer
+    row is then the same reduction over the same values as ``mse`` of the
+    whole row.
     """
-    max_abs = np.abs(rows).max(axis=1)
+    max_abs = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     if not np.all(np.isfinite(max_abs)):
         raise QuantizationError("input tensor contains non-finite values")
     zero = max_abs == 0.0  # swept at max_abs 1.0, then given scale 1.0 and MSE 0
@@ -178,18 +198,25 @@ def _best_scales(
                 # A NaN score (overflow) compares False, so its step is re-scored too.
                 maybe_best[i][b:b + block] = ~(est - bound
                                                > np.min(est + bound, axis=1, keepdims=True))
-    block = max(1, _BLOCK_ELEMENTS // n)
+    block = min(max(1, _BLOCK_ELEMENTS // n), max(np.count_nonzero(mb) for mb in maybe_best))
+    sq_err = np.empty((block, n))  # one block of candidates' squared errors, for every type
     found = []
     for ntype, sweep, mb in zip(ntypes, sweeps, maybe_best):
         row, step = np.nonzero(mb)  # row-major: each row's steps in sweep order
         cand = sweep[row, step]
         cand_err = np.empty(cand.size)
         for b in range(0, cand.size, block):
-            # One candidate per row (the usual case): the rows themselves, not a copy.
-            x = rows[b:b + block] if cand.size == len(rows) else rows[row[b:b + block]]
-            fq = fake_quantize(x, QuantScheme(ntype, cand[b:b + block], axis=0))
-            fq -= x
-            cand_err[b:b + block] = np.mean(np.square(fq, out=fq), axis=1)
+            scheme = QuantScheme(ntype, cand[b:b + block], axis=0)
+            err = sq_err[:scheme.scales.size]
+            # A row longer than _BLOCK_ELEMENTS (alone in its block) goes in
+            # column chunks.  Each chunk of err is contiguous, and mode="clip"
+            # (every index is in range) lets take write into it unbuffered.
+            for c in range(0, n, _BLOCK_ELEMENTS):
+                x = np.take(rows[:, c:c + _BLOCK_ELEMENTS], row[b:b + block], axis=0,
+                            out=err[:, c:c + _BLOCK_ELEMENTS], mode="clip")
+                x -= fake_quantize(x, scheme)
+                np.square(x, out=x)
+            cand_err[b:b + block] = np.mean(err, axis=1)
         # Lowest error per row; the stable sort keeps the earliest step on a tie.
         pick = np.lexsort((cand_err, row))[np.searchsorted(row, np.arange(len(rows)))]
         scales, errs = cand[pick], cand_err[pick]

@@ -224,12 +224,19 @@ class GraphLayer:
 CONV_KEYS = ("N_batch", "C", "H", "W", "Cout", "Kh", "Kw")
 
 
+def _check_at_least(keys: tuple[str, ...], values, low: dict[str, int], where: str = "") -> None:
+    """TensorIOError, prefixed with ``where``, for the first value below its
+    key's bound in ``low`` (0 for a key not there)."""
+    for key, value in zip(keys, values):
+        if value < low.get(key, 0):
+            raise TensorIOError(f"{where}{key} must be at least {low.get(key, 0)}, got {value}")
+
+
 def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
-    """im2col dims: M = batch*H_out*W_out, K = C*Kh*Kw, N = out channels."""
-    for key, value, low in (("stride", dims.stride, 1), ("pad", dims.pad, 0),
-                            ("Kh", dims.kh, 1), ("Kw", dims.kw, 1)):
-        if value < low:
-            raise TensorIOError(f"{key} must be at least {low}, got {value}")
+    """im2col dims: M = batch*H_out*W_out, K = C*Kh*Kw, N = out channels.
+    Every dimension must be at least 0, and the kernel and stride at least 1."""
+    _check_at_least(CONV_KEYS + ("stride", "pad"), vars(dims).values(),
+                    {"Kh": 1, "Kw": 1, "stride": 1})
     h_out = (dims.height + 2 * dims.pad - dims.kh) // dims.stride + 1
     w_out = (dims.width + 2 * dims.pad - dims.kw) // dims.stride + 1
     if h_out <= 0 or w_out <= 0:
@@ -248,8 +255,10 @@ def _layer_from_json(d, path: str) -> GraphLayer:
     where = f"{path}: model layer {lid}"
     kind = d.get("kind", "gemm")
     if kind == "gemm":
-        _require(d, ("M", "N", "K"), where)
-        m, n, k = (_require_int(d, key, where) for key in ("M", "N", "K"))
+        keys = ("M", "N", "K")
+        _require(d, keys, where)
+        m, n, k = dims = [_require_int(d, key, where) for key in keys]
+        _check_at_least(keys, dims, {}, f"{where}: ")
     elif kind == "conv":
         _require(d, CONV_KEYS, where)
         dims = ConvDims(*(_require_int(d, key, where) for key in CONV_KEYS),

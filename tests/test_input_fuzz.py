@@ -218,6 +218,36 @@ def test_conv_dims_out_of_range_exit_3_naming_the_layer(base_dir, capsys, tmp_pa
     assert err == f"error: {model}: model layer l1: {key} must be at least {low}, got {value}\n"
 
 
+NEGATIVE_DIMS = [(0, k) for k in ("M", "N", "K")] + [(1, k) for k in ("N_batch", "C", "H", "W", "Cout")]
+
+
+@pytest.mark.parametrize("layer, key", NEGATIVE_DIMS)
+def test_negative_model_dims_exit_3_naming_the_layer(base_dir, capsys, tmp_path, layer, key):
+    model = tmp_path / "model.json"
+    doc, _ = _read(os.path.join(base_dir, "model.json"), "model")
+    model.write_text(json.dumps(_mutated(doc, ("layers", layer, key), -1)))
+    capsys.readouterr()
+    rc = cli.main(["simulate", str(model), os.path.join(base_dir, "plan.json"),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT
+    assert err == f"error: {model}: model layer l{layer}: {key} must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("layer, key", [(0, "M"), (0, "N"), (0, "K"), (1, "N_batch"), (1, "C"),
+                                        (1, "Cout")])
+def test_zero_model_dim_simulates_to_zero_cycles(base_dir, capsys, tmp_path, layer, key):
+    # Zero stays a legal dimension: the layer costs nothing.
+    inputs = shutil.copytree(base_dir, tmp_path / "inputs")
+    model = inputs / "model.json"
+    doc, _ = _read(str(model), "model")
+    model.write_text(json.dumps(_mutated(doc, ("layers", layer, key), 0)))
+    assert cli.main(["simulate", str(model), str(inputs / "plan.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [l["cycles"] for l in report["layers"] if l["layer_id"] == f"l{layer}"] == [0]
+
+
 NUMBER = "<number>"
 
 

@@ -181,6 +181,46 @@ def test_sweep_scores_within_bound_of_exact_mse(ntype):
         assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
 
 
+def _scores_one_scale_at_a_time(row, ntype, scales):
+    """The prefix-sum estimates of one row, cut one scale at a time by
+    ``searchsorted(xs, thresholds * scale)``, by the same arithmetic as the
+    module's (``s2 - 2 d s1 + m d d`` per cell, summed, over n)."""
+    xs = np.sort(row)
+    p1 = np.concatenate([[0.0], np.cumsum(xs)])
+    p2 = np.concatenate([[0.0], np.cumsum(np.square(xs))])
+    out = []
+    for s in scales:
+        edges = np.concatenate([[0], np.searchsorted(xs, ntype.thresholds() * s), [xs.size]])
+        d = ntype.grid() * s
+        err = np.diff(p2[edges]) - np.diff(p1[edges]) * (2.0 * d) + np.diff(edges) * d * d
+        out.append(err.sum() / xs.size)
+    return np.array(out)
+
+
+CUT_TYPES = [NumericType(k, w, s) for k in ("int", "pot", "flint") for w in (4, 8)
+             for s in (True, False)]
+
+
+@pytest.mark.parametrize("ntype", CUT_TYPES, ids=lambda t: t.name)
+def test_sweep_scores_match_cuts_made_one_scale_at_a_time(ntype):
+    # However the cuts are searched, each is searchsorted of one threshold
+    # times one scale, so every estimate is bit for bit that of a search
+    # per scale.  Rows of repeated values, and of values placed exactly on
+    # threshold * scale, put runs of equal values on the cuts.
+    rng = np.random.default_rng(17)
+    steps = np.arange(20, 101)
+    # Every threshold times every 7th scale of a row whose max|v| is 3.
+    on = (ntype.thresholds()[None, :] * (3.0 * steps[::7, None] / 100 / ntype.max_value())).ravel()
+    rows = _for_type(np.stack([np.round(rng.laplace(size=on.size + 1) * 4) / 4,
+                               np.append(on, 3.0),
+                               np.append(rng.choice(on, on.size), 3.0)]), ntype)
+    sweeps = np.abs(rows).max(axis=1, keepdims=True) * steps / 100 / ntype.max_value()
+    [(est, _)] = selector_mod._sweep_scores(rows, [ntype], [sweeps])
+    for r, row in enumerate(rows):
+        want = _scores_one_scale_at_a_time(row, ntype, sweeps[r])
+        assert est[r].tobytes() == want.tobytes(), r
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 250, 3000])
 @pytest.mark.parametrize("dist", DISTS)
 def test_sweep_matches_plain_sweep_per_tensor(dist, n):
@@ -271,6 +311,37 @@ def test_batched_sweep_matches_plain_sweep_per_slice(monkeypatch, case):
             assert scheme.scales.tolist() == want, (ntype.name, block)
             assert err == mse(reference, v), (ntype.name, block)
             assert deg == any(not np.any(s) for s in slices)
+
+
+LONG_ROW_CASES = {
+    # One row of three full column chunks and a partial one.
+    "per-tensor": (lambda block: np.random.default_rng(21).laplace(size=3 * block + 17), None),
+    # Two channels of one full chunk and five values more.
+    "per-channel": (lambda block: _channels((2, block + 5), 0, 22), 0),
+}
+
+
+@pytest.mark.parametrize("rescore_every_step", [False, True], ids=["near-best", "every-step"])
+@pytest.mark.parametrize("case", LONG_ROW_CASES)
+def test_long_rows_rescored_in_column_chunks(monkeypatch, case, rescore_every_step):
+    # A row longer than _BLOCK_ELEMENTS is re-scored in column chunks into
+    # one row of squared errors.  Each row's scale and re-scored MSE must be
+    # the plain sweep's bit for bit, and each type's MSE that of its scheme.
+    # Equal prefix-sum scores send every step of every row to the re-score.
+    make, axis = LONG_ROW_CASES[case]
+    t = make(selector_mod._BLOCK_ELEMENTS)
+    if rescore_every_step:
+        monkeypatch.setattr(selector_mod, "_sweep_scores",
+                            lambda v, types, scales: [(np.zeros(s.shape),) * 2 for s in scales])
+    rows = t.reshape(1, -1) if axis is None else t
+    want = [[_plain_sweep(row, ntype) for row in rows] for ntype in CANDS]
+    found, _ = selector_mod._best_scales(rows, CANDS)
+    for ntype, (scales, errs), w in zip(CANDS, found, want):
+        assert list(zip(scales.tolist(), errs.tolist())) == w, ntype.name
+    sel = select_type(t, CANDS, axis)
+    for ntype, (scheme, err), w in zip(CANDS, selector_mod._search(t, CANDS, axis)[0], want):
+        assert scheme.scales.tolist() == [scale for scale, _ in w], ntype.name
+        assert err == mse(fake_quantize(t, scheme), t) == sel.per_candidate_mse[ntype.name]
 
 
 # ---------------------------------------------------------------------------
