@@ -79,17 +79,23 @@ def _float_split(text: str) -> tuple[int, int]:
     return e, m
 
 
-def _non_negative(cast):
-    """An argparse type: ``cast(text)``, which must be >= 0 (so not NaN)."""
+def _checked(cast, ok, expected: str):
+    """An argparse type: ``cast(text)``, which ``ok`` must accept (a NaN
+    fails every comparison); otherwise a usage error expecting ``expected``."""
     def parse(text: str):
         try:
             value = cast(text)
-            if value >= 0:
+            if ok(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected a non-negative {cast.__name__}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
+
+
+def _non_negative(cast):
+    """``cast(text)``, which must be >= 0."""
+    return _checked(cast, lambda value: value >= 0, f"a non-negative {cast.__name__}")
 
 
 def _candidate_kinds(text: str) -> list[str]:
@@ -273,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    bits = _checked(int, lambda width: 3 <= width <= 8, "a width from 3 to 8")
 
     p = sub.add_parser("tables", help="print the value table of a numeric type")
     p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
-    p.add_argument("--bits", type=int, default=4)
+    p.add_argument("--bits", type=bits, default=4)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--float-split", type=_float_split, help="E,M for float types")
     p.add_argument("--csv", help="write CSV instead of stdout")
@@ -285,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="quantize a tensor file")
     p.add_argument("input")
     p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
-    p.add_argument("--bits", type=int, default=4)
+    p.add_argument("--bits", type=bits, default=4)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--float-split", type=_float_split, help="E,M for float types")
     fixed_or_searched = p.add_mutually_exclusive_group()
-    fixed_or_searched.add_argument("--scale", type=float,
+    fixed_or_searched.add_argument("--scale", type=_checked(float, lambda s: 0 < s < np.inf,
+                                                            "a finite number > 0"),
                                    help="fixed per-tensor scale (default: MSE scale search)")
     fixed_or_searched.add_argument("--axis", type=int, help="per-channel axis of the search")
     p.add_argument("--out", required=True)

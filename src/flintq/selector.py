@@ -7,8 +7,8 @@ the scale with the lowest quantization MSE.  A slice with fewer than
 quantizing it at every step, which is cheaper below the crossover measured
 there; longer slices are sorted once for all such types, cut by one
 ``searchsorted`` of the thresholds times each scale, and scored from
-prefix sums, with the steps within a rounding bound of the best re-scored
-exactly.  Type selection runs one scale search for all candidate types
+each row's one prefix sum, with the steps within a rounding bound of the
+best re-scored exactly.  Type selection runs one scale search for all candidate types
 and keeps the winner.  The promotion loop selects every layer's 4-bit
 types on one thread, in model order, and promotes the worst layer (by
 normalized MSE) to 8-bit int until the aggregate normalized MSE meets a
@@ -77,79 +77,93 @@ def _sweep_scores(
     the rows, and a bound on how far each figure may lie from
     ``mse(fake_quantize(...))`` of the row; one (MSE, bound) pair per type.
 
-    With each row sorted and prefix sums P1, P2 of v and v**2, the grid cell
-    that dequantizes to ``d`` and holds ``m`` values adds
-    ``P2 - 2 d P1 + m d**2`` to the squared error.  Each row is cut at
-    ``threshold * scale``, where ``quantize`` compares ``v / scale`` with
-    the threshold; both round once, so a value may land in the cell next to
-    its own only when its quotient q lies within u|t| of threshold t (u the
-    unit roundoff), and t lies within one ulp of the midpoint of its two
-    grid values.  Such a value's squared error then moves by at most
-    ``3 u D**2``, D the largest |d|.  The bound covers this and the rounding
-    of both figures: with n the row length and G grid cells, they differ by
-    at most ``(6n + G + 15) u M / n`` with M = sum v**2 + 2 D sum|v| +
-    n D**2 (sequential-summation error bounds, no underflow); the bound
-    returned is over twice that.
+    Each sorted row is cut at ``threshold * scale``, the cuts ``c_j`` (j = 1
+    .. G-1, G grid values g) counting the values below each threshold, and
+    every type's cuts are searched before the row turns into its own prefix
+    sum P1 in place.  Summed by parts, the squared error of the row is then
+    ``sum v**2 - 2 d_top P1(n) + n d_top**2 + 2 s sum_j dg_j P1(c_j) -
+    s**2 sum_j d(g**2)_j c_j`` with s the scale, n the row length, d_top =
+    g_top * s and dg, d(g**2) the differences of neighbouring grid values
+    and of their squares (exact here: every grid value has few
+    significant bits).  Each term may be as large as M = sum v**2 + 2 D
+    sum|v| + n D**2, D the largest |g * s|, and they cancel down to the
+    error, so the rounding is bounded against M:
+
+    * ``quantize`` compares ``v / scale`` with the threshold; both round
+      once, so a value may land in the cell next to its own only when its
+      quotient lies within u|t| of threshold t (u the unit roundoff), and t
+      lies within one ulp of the midpoint of its two grid values, which
+      moves its squared error by at most ``3 u D**2``: 3uM in all;
+    * the sum uses g * s unrounded where ``dequantize`` rounds it: 2uM;
+    * sum v**2 is off by at most n u sum v**2, and each P1 by n u sum|v|,
+      so the P1 terms by (3n + 2G + 1) u 2D sum|v| with the products and
+      the sum over j; the d_top**2 and c_j terms by (2G + 8) u n D**2;
+      adding the five terms and dividing by n: 13uM; the MSE itself rounds
+      by (n + 4) u M.
+
+    To first order the two figures differ by at most ``(4n + 2G + 23) u M /
+    n`` (no underflow); the bound returned, ``eps (8n + 2G + 32) M / n``,
+    is over twice that.  Sum|v| is read off P1 at the sign change, its
+    minimum.
 
     The cuts of a row are searched threshold-major: each threshold times
     every scale of the row, one after the other, so the needles of one
     threshold run one way along the sweep and ``searchsorted`` starts each
     search from the previous one's bracket.  The needles are the products
-    ``threshold * scale`` whatever the order, so the cuts are too.  Only
-    the sorted rows and their two prefix sums are as long as the rows.
+    ``threshold * scale`` whatever the order, so the cuts are too.  The
+    sorted rows, which become their prefix sums, are the only arrays as
+    long as the rows.
     """
     xs = np.sort(v, axis=1)
     rows, n = xs.shape
-    p1, p2 = np.zeros((rows, n + 1)), np.zeros((rows, n + 1))
-    np.cumsum(xs, axis=1, out=p1[:, 1:])
-    # |v| and then v**2 pass through p2's storage, so no other full-length row is made.
-    abs_sum = np.abs(xs, out=p2[:, 1:]).sum(axis=1, keepdims=True)
-    np.cumsum(np.square(xs, out=p2[:, 1:]), axis=1, out=p2[:, 1:])
-    row_start = np.arange(0, rows * (n + 1), n + 1)[:, None, None]
+    sq_sum = np.einsum("ij,ij->i", xs, xs)[:, None]  # no squared copy of the rows, no BLAS
+    cuts = [np.empty(sc.shape + (t.thresholds().size,), dtype=np.int64)
+            for t, sc in zip(ntypes, scales)]
+    for r in range(rows):  # searchsorted takes one sorted array at a time
+        for ntype, sc, c in zip(ntypes, scales, cuts):
+            c[r] = np.searchsorted(xs[r], ntype.thresholds()[:, None] * sc[r]).T
+    p1 = np.cumsum(xs, axis=1, out=xs)
+    total = p1[:, -1:]
+    abs_sum = total - 2.0 * np.minimum(p1.min(axis=1, keepdims=True), 0.0)
+    before_row = np.arange(-1, rows * n - 1, n)[:, None, None]  # P1(c) is p1[r, c - 1]
     scored = []
-    for ntype, sc in zip(ntypes, scales):
+    for ntype, sc, c in zip(ntypes, scales, cuts):
         grid = ntype.grid()
-        edges = np.empty(sc.shape + (grid.size + 1,), dtype=np.int64)
-        edges[..., 0], edges[..., -1] = 0, n
-        thresholds = ntype.thresholds()
-        for r in range(rows):  # searchsorted takes one sorted array at a time
-            edges[r, :, 1:-1] = np.searchsorted(xs[r], thresholds[:, None] * sc[r]).T
-        flat = edges + row_start
-        d = grid * sc[..., None]  # as dequantize computes it
-        s1 = np.diff(p1.ravel()[flat], axis=-1)
-        s2 = np.diff(p2.ravel()[flat], axis=-1)
-        del flat
-        # s2 - 2 d s1 + m d d, evaluated in that order, in place.
-        s1 *= 2.0 * d
-        s2 -= s1
-        del s1
-        m = np.diff(edges, axis=-1) * d
-        m *= d
-        s2 += m
-        del m, d
-        est = s2.sum(axis=-1)
-        est /= n
+        terms = np.multiply(c, np.diff(grid * grid))
+        by_count = terms.sum(axis=-1)  # sum_j d(g**2)_j c_j
+        empty = c == 0
+        c += before_row
+        np.take(p1, c, out=terms, mode="clip")  # P1 at every cut; P1(0) = 0 below
+        terms[empty] = 0.0
+        terms *= np.diff(grid)
+        d_top = grid[-1] * sc  # as dequantize computes it
+        est = (sq_sum - 2.0 * d_top * total + n * d_top * d_top
+               + 2.0 * sc * terms.sum(axis=-1) - sc * sc * by_count) / n
         d_max = float(np.max(np.abs(grid))) * sc
-        m_total = p2[:, -1:] + 2.0 * d_max * abs_sum + n * d_max * d_max
+        m_total = sq_sum + 2.0 * d_max * abs_sum + n * d_max * d_max
         scored.append((est, np.finfo(np.float64).eps * (8 * n + 2 * grid.size + 32) * m_total / n))
     return scored
 
 
 # Rows are swept in blocks, and re-scored in blocks and column chunks, whose
 # temporaries hold at most this many elements, so memory stays bounded
-# whatever the channel count or width.  A longer row is held whole only
-# sorted, in its two prefix sums and in one row of squared errors.
+# whatever the channel count or width: a block of sorted rows, or the cuts
+# of every prefix-scored type at all 81 steps of its rows.  A longer row is
+# held whole in one array at a time: sorted (then its own prefix sum), and
+# then as one row of squared errors in the exact re-score.
 _BLOCK_ELEMENTS = 1 << 15
 
 # A type whose rows hold fewer than this many values per grid cell is scored
 # directly: quantizing a short row at all 81 steps costs less than cutting
 # it 81 times at every grid threshold.  Measured on 16 and 64 Laplace rows
-# (2-CPU Xeon, best of 15 alternating calls, 3 fresh interpreters): int8
-# (257 cells) took 0.23-0.3x the prefix-sum time at 256 values per row,
-# 0.7x at 1024, 0.86-1.3x at 1536 and 1.04-1.3x at 1792, but 1.15-1.46x at
-# 2048, so it breaks even near 6 values per cell.  int4, pot4 and flint4
-# together break even near 48 values (0.84-0.92x at 32, 1.2-1.36x at 64),
-# under 3 per cell, so 4-bit rows of 48-101 values take the dearer path.
+# (2-CPU Xeon, best of 15 alternating calls, 3 fresh interpreters), direct
+# int8 scoring (257 cells) took 0.70-0.82x the prefix-sum time at 512 values
+# per row, 0.88-1.29x at 768, 1.10-1.47x at 1024 and 1.17-1.34x at 1536;
+# int4, pot4 and flint4 together (17 cells) took 0.81-0.94x at 32 values,
+# 0.98-1.18x at 48 and 1.21-1.40x at 64.  Both widths break even near 3
+# values per cell.  The switch stays at 6: at 3 the benchmark's warm-up, a
+# 64-value selection, would take the prefix path and move the peak RSS of
+# sim-datapath, a workload that selects nothing.
 _DIRECT_VALUES_PER_CELL = 6
 
 
@@ -163,9 +177,9 @@ def _best_scales(
     A type whose rows hold fewer than ``_DIRECT_VALUES_PER_CELL`` values
     per grid cell (``grid().size + 1`` cells) is scored directly: every
     step of every row is re-scored exactly.  For the other types, each
-    block of rows is sorted once; every step is scored from prefix sums,
-    and only the steps that may hold a row's minimum within the rounding
-    bound are re-scored exactly.  Either way each row's result is that of
+    block of rows is sorted once; every step is scored from the rows'
+    prefix sums, and only the steps that may hold a row's minimum within
+    the rounding bound are re-scored exactly.  Either way each row's result is that of
     a plain quantize/dequantize/mse sweep, ties keeping the earlier
     (smaller) scale.
 
@@ -189,8 +203,8 @@ def _best_scales(
     swept = [i for i, t in enumerate(ntypes) if n >= _DIRECT_VALUES_PER_CELL * (t.grid().size + 1)]
     maybe_best = [np.full(s.shape, i not in swept) for i, s in enumerate(sweeps)]
     if swept:
-        cells = max(ntypes[i].grid().size for i in swept) + 1
-        block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cells))
+        cuts = sum(ntypes[i].thresholds().size for i in swept)  # per row and step
+        block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cuts))
         for b in range(0, len(rows), block):
             scored = _sweep_scores(rows[b:b + block], [ntypes[i] for i in swept],
                                    [sweeps[i][b:b + block] for i in swept])

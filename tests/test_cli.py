@@ -91,6 +91,13 @@ def test_tables_usage_error_exits_2():
     (["select", "m.json", "--out", "p.json", "--candidates", "float"], "--candidates"),
     (["select", "m.json", "--out", "p.json", "--candidates", "foo"], "--candidates"),
     (["select", "m.json", "--out", "p.json", "--candidates", "int,,pot"], "--candidates"),
+    (["quantize", "t.bin", "--type", "int", "--scale", "0", "--out", "q"], "--scale"),
+    (["quantize", "t.bin", "--type", "int", "--scale", "-0.5", "--out", "q"], "--scale"),
+    (["quantize", "t.bin", "--type", "int", "--scale", "inf", "--out", "q"], "--scale"),
+    (["quantize", "t.bin", "--type", "int", "--scale", "nan", "--out", "q"], "--scale"),
+    (["tables", "--type", "int", "--bits", "2"], "--bits"),
+    (["tables", "--type", "flint", "--bits", "9"], "--bits"),
+    (["quantize", "t.bin", "--type", "pot", "--bits", "16", "--out", "q"], "--bits"),
 ])
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as e:

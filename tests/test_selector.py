@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,35 +166,49 @@ def test_sweep_scores_within_bound_of_exact_mse(ntype):
     # score lies within its bound of the exact MSE.  Values on and one ulp
     # either side of threshold * scale, where x / scale and threshold *
     # scale can disagree, test that the bound covers cuts an ulp off; a
-    # wide draw tests the rounding bound.
+    # wide draw tests the rounding bound.  The terms summed by parts are each
+    # up to about M = sum v**2 + 2 D sum|v| + n D**2 and cancel down to the
+    # error, most of all on rows whose error is small next to M: values all
+    # in [0.9, 1] of max|v|, one value repeated, and both signs of them.
     max_abs, steps = 3.0, np.arange(20, 101)
     scales = max_abs * steps / 100 / ntype.max_value()
     on = (ntype.thresholds()[None, :] * scales[::4, None]).ravel()
     edges = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
-    wide = np.random.default_rng(3).laplace(size=5000)
-    for v in (edges, wide):
-        v = _for_type(np.append(v[np.abs(v) < max_abs], max_abs), ntype)
+    rng = np.random.default_rng(3)
+    wide = rng.laplace(size=5000)
+    near_top = rng.uniform(0.9, 1.0, 2000) * max_abs
+    repeated = np.full(2000, 0.95 * max_abs)
+    both_signs = near_top * rng.choice([-1.0, 1.0], near_top.size)
+    # A value repeated on a grid point of one step has almost no error there,
+    # so the bound, relative to M, is not small next to it; it must hold.
+    on_grid = np.full(2000, ntype.grid()[-2] * scales[40])
+    for row in (edges, wide, near_top, repeated, both_signs, on_grid):
+        v = _for_type(np.append(row[np.abs(row) < max_abs], max_abs), ntype)
         sweep = v.max() * steps / 100 / ntype.max_value()
         [(est, bound)] = selector_mod._sweep_scores(v[None], [ntype], [sweep[None]])
         est, bound = est[0], bound[0]
         exact = [mse(fake_quantize(v, QuantScheme(ntype, np.array([s]))), v) for s in sweep]
         assert np.all(np.abs(est - exact) <= bound)
-        assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
+        if row is not on_grid:
+            assert np.all(bound < 1e-4 * np.array(exact))  # so few steps are re-scored
 
 
 def _scores_one_scale_at_a_time(row, ntype, scales):
     """The prefix-sum estimates of one row, cut one scale at a time by
     ``searchsorted(xs, thresholds * scale)``, by the same arithmetic as the
-    module's (``s2 - 2 d s1 + m d d`` per cell, summed, over n)."""
+    module's (the squared error summed by parts over the cuts, over n)."""
     xs = np.sort(row)
+    n = xs.size
+    sq_sum = np.einsum("ij,ij->i", xs[None], xs[None])[0]
     p1 = np.concatenate([[0.0], np.cumsum(xs)])
-    p2 = np.concatenate([[0.0], np.cumsum(np.square(xs))])
+    grid = ntype.grid()
     out = []
     for s in scales:
-        edges = np.concatenate([[0], np.searchsorted(xs, ntype.thresholds() * s), [xs.size]])
-        d = ntype.grid() * s
-        err = np.diff(p2[edges]) - np.diff(p1[edges]) * (2.0 * d) + np.diff(edges) * d * d
-        out.append(err.sum() / xs.size)
+        cuts = np.searchsorted(xs, ntype.thresholds() * s)
+        d_top = grid[-1] * s
+        out.append((sq_sum - 2.0 * d_top * p1[n] + n * d_top * d_top
+                    + 2.0 * s * (p1[cuts] * np.diff(grid)).sum()
+                    - s * s * (cuts * np.diff(grid * grid)).sum()) / n)
     return np.array(out)
 
 
@@ -344,6 +359,21 @@ def test_long_rows_rescored_in_column_chunks(monkeypatch, case, rescore_every_st
         assert err == mse(fake_quantize(t, scheme), t) == sel.per_candidate_mse[ntype.name]
 
 
+def test_select_type_holds_a_long_row_whole_in_one_array_at_a_time():
+    # A row longer than _BLOCK_ELEMENTS is held at full length first sorted,
+    # which becomes its own prefix sum, then as one row of squared errors in
+    # the re-score; every other temporary stays under _BLOCK_ELEMENTS.
+    n = 4 * selector_mod._BLOCK_ELEMENTS
+    t = np.random.default_rng(23).laplace(size=n)
+    tracemalloc.start()
+    try:
+        select_type(t, CANDS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * t.itemsize
+
+
 # ---------------------------------------------------------------------------
 # Type selection
 # ---------------------------------------------------------------------------
@@ -481,13 +511,14 @@ LONG_ROWS = _channels((30, 1600), 0, 15)  # prefix-scored by every type up to 8 
 def test_select_type_sorts_each_block_once(monkeypatch, types):
     # The sort and prefix sums of a block do not depend on the type: one
     # select_type call sorts each block once, whatever the number of
-    # candidates, in blocks sized for the largest grid among them.
+    # candidates, in blocks sized for the cuts of all of them.
     t = LONG_ROWS
     cells = max(c.grid().size for c in types) + 1
     assert t.shape[1] >= selector_mod._DIRECT_VALUES_PER_CELL * cells
     sorted_rows = _count_sorts(monkeypatch)
     select_type(t, types, axis=0)
-    block = selector_mod._BLOCK_ELEMENTS // max(t.shape[1], 81 * cells)
+    block = selector_mod._BLOCK_ELEMENTS // max(t.shape[1], 81 * sum(c.thresholds().size
+                                                                     for c in types))
     assert sorted_rows == _blocks(len(t), block)
     sorted_rows.clear()
     select_type(t, types)
@@ -496,13 +527,14 @@ def test_select_type_sorts_each_block_once(monkeypatch, types):
 
 def test_select_type_sorts_only_for_prefix_scored_types(monkeypatch):
     # Rows scored directly are never sorted, and the blocks are sized for
-    # the grids of the prefix-scored types alone.
+    # the cuts of the prefix-scored types alone.
     sorted_rows = _count_sorts(monkeypatch)
     select_type(SHARED_SORT_CASES["per-channel over several blocks"][0], MIXED, axis=0)
     assert sorted_rows == []  # 12 values per row: every type is scored directly
     t = _channels((30, 400), 0, 16)  # int8 scores 400-value rows directly, 4-bit types do not
     select_type(t, MIXED, axis=0)
-    assert sorted_rows == _blocks(len(t), selector_mod._BLOCK_ELEMENTS // (81 * 17))
+    cuts = sum(c.thresholds().size for c in MIXED if c.width == 4)
+    assert sorted_rows == _blocks(len(t), selector_mod._BLOCK_ELEMENTS // (81 * cuts))
 
 
 class _PrefixScored(Exception):
