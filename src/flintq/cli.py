@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, flint, sim, tensor_io, verify
-from .qtypes import NumericType, QuantScheme, QuantizationError, quantize
+from .qtypes import KINDS, NumericType, QuantScheme, QuantizationError, quantize
 from .selector import (
     DEFAULT_CANDIDATES,
     LayerTensors,
@@ -99,11 +99,11 @@ def _non_negative(cast):
 
 
 def _candidate_kinds(text: str) -> list[str]:
-    """``--candidates``: comma-separated kinds of the integer-path datapath."""
+    """``--candidates``: comma-separated kinds."""
     kinds = [k.strip() for k in text.split(",")]
-    if not set(kinds) <= set(DEFAULT_CANDIDATES):
+    if not set(kinds) <= set(KINDS):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated kinds among {','.join(DEFAULT_CANDIDATES)}, got {text!r}")
+            f"expected comma-separated kinds among {','.join(KINDS)}, got {text!r}")
     return kinds
 
 
@@ -114,11 +114,9 @@ def _candidate_kinds(text: str) -> list[str]:
 def cmd_tables(args: argparse.Namespace) -> int:
     t = _parse_ntype(args)
     values = t.code_values()
-    if t.kind == "float":  # no integer-path (base, exponent) decode
-        base = exponent = [""] * values.size
-    else:
-        pair = t.decoded()
-        base, exponent = pair.base, pair.exponent
+    # The exponent column is the value's power of two: base * 2**exponent.
+    pair = t.decoded()
+    base, exponent = pair.base, pair.exponent - t.exponent_offset
     rows = [
         {"code": format(code, f"0{t.width}b"), "base": base[code],
          "exponent": exponent[code], "value": values[code]}
@@ -134,7 +132,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         print(f"# {t.name}")
         print(f"{'code':>8} {'base':>6} {'exp':>4} {'value':>10}")
         for r in rows:
-            print(f"{r['code']:>8} {r['base']!s:>6} {r['exponent']!s:>4} {r['value']:>10g}")
+            print(f"{r['code']:>8} {r['base']:>6} {r['exponent']:>4} {r['value']:>10g}")
     return 0
 
 
@@ -217,13 +215,9 @@ def _write_mse_csv(path: str, plan) -> None:
 
 
 def _plan_layer_width(layer: dict, where: str) -> int:
-    """The width of a plan layer's two types, which the integer-path PE must
-    decode, and which must be one width, the layer's stated ``width``, and
-    one the PE runs (4 or 8)."""
+    """The width of a plan layer's two types, which must be one width, the
+    layer's stated ``width``, and one the PE runs (4 or 8)."""
     w, a = tensor_io.plan_layer_types(layer, where)
-    if "float" in (w.kind, a.kind):
-        raise QuantizationError(f"{where}: float types have no integer-path decode "
-                                f"({w.name}, {a.name})")
     if w.width != a.width:
         raise QuantizationError(f"{where}: weight type {w.name} and activation type {a.name} "
                                 "differ in width")
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     bits = _checked(int, lambda width: 3 <= width <= 8, "a width from 3 to 8")
 
     p = sub.add_parser("tables", help="print the value table of a numeric type")
-    p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
+    p.add_argument("--type", required=True, choices=KINDS)
     p.add_argument("--bits", type=bits, default=4)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--float-split", type=_float_split, help="E,M for float types")
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="quantize a tensor file")
     p.add_argument("input")
-    p.add_argument("--type", required=True, choices=["int", "pot", "flint", "float"])
+    p.add_argument("--type", required=True, choices=KINDS)
     p.add_argument("--bits", type=bits, default=4)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--float-split", type=_float_split, help="E,M for float types")

@@ -1,12 +1,15 @@
 """Bit-true model of the integer-path processing element.
 
-Every operand (int / pot / flint code) is decoded to a (base integer,
-exponent) pair, read from ``NumericType.decoded()``; the multiplier forms
-base_a * base_b shifted left by the exponent sum, and the accumulator adds
-it up.  A dot product over codes, scaled once at the end, therefore equals
-the real dot product of the dequantized operands exactly.  The model always
-keeps that exact value and flags, in ``MacState.overflowed``, any product
-or running sum that a datapath of the state's widths could not hold.
+Every operand (int / pot / flint / float code) is decoded to a (base
+integer, exponent) pair, read from ``NumericType.decoded()``; the multiplier
+forms base_a * base_b shifted left by the exponent sum, and the accumulator
+adds it up.  A dot product over codes, scaled once at the end, therefore
+equals the real dot product of the dequantized operands exactly.  A float
+operand's pair is its value times ``2**exponent_offset`` (its mantissa
+width M), so the end scale also absorbs ``2**-(offset_a + offset_b)``.  The
+model always keeps that exact value and flags, in ``MacState.overflowed``,
+any product or running sum that a datapath of the state's widths could not
+hold.
 
 The 8-bit int multiply is composed from four 4-bit PE multiplies plus one
 adder, mirroring the mixed-precision array reconfiguration.
@@ -19,7 +22,9 @@ Python ints are arbitrary-precision.  Array lanes compute in int64, so
 every product, shifted product and running sum must stay within the int64
 range (magnitude below 2^63).  Beyond that bound numpy wraps the lane
 modulo 2^64 with no flag and no error, so the lane's result is wrong; use
-Python ints for wider values.
+Python ints for wider values.  Float operands come nearest that bound: at
+most base 3 and exponent 2 for float4 e2m1, 15 and 14 for float8 e4m3, and
+7 and 30 for float8 e5m2, so one e5m2 x e5m2 product is 49 * 2^60, past it.
 """
 
 from __future__ import annotations

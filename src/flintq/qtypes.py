@@ -14,15 +14,17 @@ table of cells.  It writes the lowest code of the cell's value, so every
 input in the zero cell gets code 0.
 ``fake_quantize`` reads the values straight from the grid.
 
-Code layouts (int, pot and flint are written once, as the integer-path
-(base, exponent) table of ``NumericType.decoded()``; each code's value is
-base * 2**exponent):
+Code layouts (every kind is written once, as the (base, exponent) table of
+``NumericType.decoded()``; each code's value is
+base * 2**(exponent - exponent_offset), the offset 0 for all but float):
 * int    -- two's complement in the low ``width`` bits.
 * pot    -- code 0 is zero, code k >= 1 is 2**(k-1); signed uses a sign
             bit in the MSB over a (width-1)-bit magnitude code.
 * flint  -- first-one encoding, see :mod:`flintq.flint`.
-* float  -- sign bit (if signed), exponent code, mantissa; exponent code
-            0 denotes subnormals (no implicit leading one), bias -1.
+* float  -- sign bit (if signed) over an exponent code and an M-bit
+            mantissa; exponent code 0 denotes subnormals (no implicit
+            leading one), bias -1.
+A sign bit over a zero magnitude decodes to base 0, so no table holds -0.0.
 """
 
 from __future__ import annotations
@@ -82,9 +84,15 @@ class NumericType:
 
     def decoded(self) -> flint.DecodedPair:
         """The integer-path (base, exponent) pair of every code word, indexed
-        by code: read-only int64 arrays, ``base * 2**exponent`` the code's
-        value.  int, pot and flint only; float raises QuantizationError."""
+        by code: read-only int64 arrays, ``base * 2**(exponent -
+        exponent_offset)`` the code's value."""
         return _decoded(self)
+
+    @property
+    def exponent_offset(self) -> int:
+        """float's mantissa width M, so that every ``decoded()`` base is an
+        integer; 0 for the other kinds."""
+        return self.float_split[1] if self.kind == "float" else 0
 
     def thresholds(self) -> np.ndarray:
         """Unit-scale decision thresholds of the quantizer (read-only).
@@ -139,24 +147,6 @@ class QTensor:
 
 
 # ---------------------------------------------------------------------------
-# float's code table (value of each code word at unit scale); int, pot and
-# flint values come from their (base, exponent) decode, ``_decoded``
-# ---------------------------------------------------------------------------
-
-def _float_code_values(t: NumericType) -> np.ndarray:
-    e_bits, m_bits = t.float_split
-    ec = np.arange(1 << e_bits)[:, None]
-    m = np.arange(1 << m_bits)[None, :]
-    # Bias -1; exponent code 0 is subnormal with the same exponent value as code 1.
-    normal = 2.0 ** (ec - 1) * (1.0 + m / (1 << m_bits))
-    sub = 2.0 ** 0 * (m / (1 << m_bits))
-    mag = np.where(ec == 0, sub, normal).ravel()
-    if not t.signed:
-        return mag
-    return np.concatenate([mag, -mag])
-
-
-# ---------------------------------------------------------------------------
 # Cached per-type tables (NumericType is frozen, so it keys the caches)
 # ---------------------------------------------------------------------------
 
@@ -180,31 +170,34 @@ def _decoded(t: NumericType) -> flint.DecodedPair:
         pairs = [flint.decode_int(c) for c in flint.all_codes(t.width, t.signed)]
         base = np.array([p.base for p in pairs], dtype=np.int64)
         exponent = np.array([p.exponent for p in pairs], dtype=np.int64)
-    else:
-        raise QuantizationError(f"type {t.name} has no integer-path (base, exponent) decode")
+    else:  # float: sign bit (if signed) over the magnitude code ec * 2**M + m
+        mag_width, m_bits = t.width - t.signed, t.float_split[1]
+        mag = codes & ((1 << mag_width) - 1)
+        ec, m = mag >> m_bits, mag & ((1 << m_bits) - 1)
+        # Exponent code 0 is subnormal: no leading one, the exponent of code 1.
+        base = np.where(ec == 0, m, m + (1 << m_bits))
+        base = np.where(codes >> mag_width, -base, base)
+        exponent = np.maximum(ec - 1, 0)
     return flint.DecodedPair(_read_only(base), _read_only(exponent))
 
 
 @functools.cache
 def _code_values(t: NumericType) -> np.ndarray:
-    if t.kind == "float":
-        return _read_only(_float_code_values(t))
     pair = _decoded(t)
-    return _read_only(np.ldexp(pair.base, pair.exponent))
+    return _read_only(np.ldexp(pair.base, pair.exponent - t.exponent_offset))
 
 
 @functools.cache
 def _cell_codes(t: NumericType) -> np.ndarray:
     """The code ``quantize`` writes for each grid cell: the lowest code of the
     cell's value.  The stable sort makes the zero cell's code 0, never the
-    -0 that a sign bit over a zero magnitude gives."""
+    code of a sign bit over a zero magnitude."""
     _, first = np.unique(_code_values(t), return_index=True)
     return _read_only(first.astype(np.uint8))
 
 
 @functools.cache
 def _grid(t: NumericType) -> np.ndarray:
-    # Read through the cell codes, so the zero cell holds +0.0 (code 0).
     return _read_only(_code_values(t)[_cell_codes(t)])
 
 

@@ -30,9 +30,8 @@ from .qtypes import (INT8, NumericType, QuantScheme, QuantizationError, check_ax
 DEFAULT_SWEEP_STEPS = 100
 DEFAULT_MIN_CLIP_RATIO = 0.2
 
-# The integer-path datapath covers int, pot, and flint; float has no
-# (base, exponent) decode, so only library callers may pass it as a
-# candidate (``select --candidates`` rejects it).
+# The kinds selected among by default; float, the fixed-float baseline,
+# is a candidate only when asked for.
 DEFAULT_CANDIDATES = ("int", "pot", "flint")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .qtypes import NumericType, QTensor, QuantScheme
+from .qtypes import NumericType, QTensor, QuantizationError, QuantScheme
 from .selector import ntype_from_json, ntype_to_json
 
 
@@ -97,7 +97,8 @@ def _require_shape(header: dict, path: str) -> tuple[int, ...]:
 def _load_ntype(doc, where: str) -> NumericType:
     """The numeric type an ``ntype`` object names; its kind must be a string,
     its width an integer, ``signed`` true or false and ``floatSplit`` null or
-    two integers."""
+    two integers.  A type those do not make is a QuantizationError prefixed
+    with ``where``."""
     _require(doc, NTYPE_KEYS, where)
     _require_type(doc["kind"], f"{where} kind", str)
     _require_int(doc, "width", where)
@@ -106,7 +107,10 @@ def _load_ntype(doc, where: str) -> NumericType:
     if split is not None and (len(split) != 2 or any(type(v) is not int for v in split)):
         raise TensorIOError(f"{where} floatSplit: expected two integers, "
                             f"got {json.dumps(split, default=float)}")
-    return ntype_from_json(doc)
+    try:
+        return ntype_from_json(doc)
+    except QuantizationError as exc:
+        raise QuantizationError(f"{where}: {exc}") from None
 
 
 def _read_header(f, path: str, keys: tuple[str, ...]) -> dict:
@@ -188,7 +192,10 @@ def load_qtensor(path: str) -> QTensor:
     axis = _require_type(header.get("axis"), f"{path}: header axis", int, type(None))
     if axis is not None and not (0 <= axis < len(shape) and len(scales) == shape[axis]):
         raise TensorIOError(f"{path}: {len(scales)} scales along axis {axis} of shape {list(shape)}")
-    scheme = QuantScheme(ntype, np.asarray(scales, dtype=np.float64), axis=axis)
+    try:
+        scheme = QuantScheme(ntype, np.asarray(scales, dtype=np.float64), axis=axis)
+    except QuantizationError as exc:
+        raise QuantizationError(f"{path}: header scales: {exc}") from None
     return QTensor(codes.copy(), shape, scheme)
 
 
@@ -358,9 +365,13 @@ def _config_fields(doc, cls, where: str) -> dict:
 def load_array_config(path: str) -> sim.ArrayConfig:
     """An array config: a JSON object of ``ArrayConfig`` fields, any of them
     left out taking its default, with ``energy`` an object of
-    ``EnergyTable`` costs."""
+    ``EnergyTable`` costs.  Values the model cannot take are a
+    SimConfigError prefixed with the path."""
     kwargs = _config_fields(_load_json(path), sim.ArrayConfig, f"{path}: config")
     if "energy" in kwargs:
         kwargs["energy"] = sim.EnergyTable(**_config_fields(kwargs["energy"], sim.EnergyTable,
                                                             f"{path}: config energy"))
-    return sim.ArrayConfig(**kwargs)
+    try:
+        return sim.ArrayConfig(**kwargs)
+    except sim.SimConfigError as exc:
+        raise sim.SimConfigError(f"{path}: config: {exc}") from None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flintq import cli, pe, sim, tensor_io, verify
-from flintq.qtypes import NumericType, dequantize
+from flintq.qtypes import KINDS, NumericType, dequantize
 
 TABLE_UNSIGNED4 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
 
@@ -72,6 +72,19 @@ def test_tables_signed_pot_sign_bit_over_zero_is_plus_zero(capsys):
     assert rows["1011"] == ["-1", "2", "-4"]
 
 
+def test_tables_float_columns_give_the_value(tmp_path):
+    # The exponent column is the value's power of two for every kind, float too.
+    path = str(tmp_path / "t.csv")
+    assert cli.main(["tables", "--type", "float", "--bits", "4", "--signed", "--csv", path]) == 0
+    with open(path, newline="") as f:
+        rows = {r["code"]: r for r in csv.DictReader(f)}
+    assert len(rows) == 16
+    assert [rows[c][k] for c in ("0001", "0111", "1000") for k in ("base", "exponent", "value")] \
+        == ["1", "-1", "0.5", "3", "1", "6.0", "0", "-1", "0.0"]
+    for r in rows.values():
+        assert float(r["base"]) * 2.0 ** float(r["exponent"]) == float(r["value"])
+
+
 def test_tables_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         cli.main(["tables", "--type", "bogus"])
@@ -87,8 +100,8 @@ def test_tables_usage_error_exits_2():
     (["tables", "--type", "float", "--float-split", "a,b"], "--float-split"),
     (["tables", "--type", "float", "--float-split", "1,2,3"], "--float-split"),
     (["quantize", "t.bin", "--type", "float", "--float-split", "2", "--out", "q"], "--float-split"),
-    # float has no integer-path decode, so simulate would refuse its plan
-    (["select", "m.json", "--out", "p.json", "--candidates", "float"], "--candidates"),
+    # one kind outside qtypes.KINDS spoils the list
+    (["select", "m.json", "--out", "p.json", "--candidates", "float,posit"], "--candidates"),
     (["select", "m.json", "--out", "p.json", "--candidates", "foo"], "--candidates"),
     (["select", "m.json", "--out", "p.json", "--candidates", "int,,pot"], "--candidates"),
     (["quantize", "t.bin", "--type", "int", "--scale", "0", "--out", "q"], "--scale"),
@@ -245,6 +258,22 @@ def test_select_candidates_subset(tmp_path):
     assert rc == 0
     for l in tensor_io.load_plan(plan_path)["layers"]:
         assert set(l["weightType"]["perCandidateMse"]) == {"flint4", "int4"}
+
+
+@pytest.mark.parametrize("kinds, names", [("int,pot,flint,float", {"int4", "pot4", "flint4",
+                                                                  "float4e2m1"}),
+                                          ("float", {"float4e2m1"})])
+def test_select_float_candidates_plan_simulates(tmp_path, kinds, names):
+    rc, model, plan_path = run_select(tmp_path, "--candidates", kinds, "--threshold", "0",
+                                      "--promote-budget", "1")
+    assert rc == 0
+    plan = tensor_io.load_plan(plan_path)
+    assert len(plan["promotionOrder"]) == 1
+    for l in plan["layers"]:
+        four_bit = l["fourBitCandidates"]["weight"] if l["width"] == 8 else \
+            l["weightType"]["perCandidateMse"]
+        assert set(four_bit) == names
+    assert cli.main(["simulate", model, plan_path, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_select_promote_budget(tmp_path):
@@ -509,7 +538,9 @@ def test_verify_exhaustive_checks_cover_every_pair(monkeypatch):
     )
     want = []
     for signed in (False, True):
-        values = [NumericType(k, 4, signed).code_values().tolist() for k in ("int", "pot", "flint")]
+        # A lane holds each operand's value times 2**exponent_offset.
+        values = [np.ldexp(t.code_values(), t.exponent_offset).tolist()
+                  for t in (NumericType(k, 4, signed) for k in KINDS)]
         want += [(x, y) for va in values for vb in values for x in va for y in vb]
     assert sorted(mac_lanes) == sorted(want)
 

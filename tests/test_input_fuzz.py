@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flintq import cli, sim, tensor_io
-from flintq.qtypes import dequantize
+from flintq.qtypes import QuantizationError, dequantize
 
 DROP = "<drop>"
 HUGE = 10**400  # a JSON integer too large for a float
@@ -176,17 +176,79 @@ def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
     assert head == "error: " and key in tail, err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 0}', "array dimension must be positive and even, got 0"),
+    ('{"n": 63}', "array dimension must be positive and even, got 63"),
+    ('{"dataflow": "xy"}', "dataflow must be 'os' or 'ws', got 'xy'"),
+    ('{"buffer_bytes": 0}', "bandwidth and buffer size must be positive"),
+    ('{"energy": {"mac4": -1}}', "energy cost mac4 must be >= 0"),
+])
+def test_array_config_the_model_cannot_take_exits_4_naming_the_file(base_dir, capsys, tmp_path,
+                                                                    doc, message):
+    config = tmp_path / "array.json"
+    config.write_text(doc)
+    capsys.readouterr()
+    rc = cli.main(["simulate", os.path.join(base_dir, "model.json"),
+                   os.path.join(base_dir, "plan.json"), "--config", str(config),
+                   "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and err == f"error: {config}: config: {message}\n", err
+
+
+# ntype objects of the right JSON types that name no numeric type.
+BAD_NTYPES = [
+    ({"kind": "posit", "width": 4, "signed": True}, "unknown kind 'posit'"),
+    ({"kind": "int", "width": 9, "signed": True}, "width must be in [3, 8], got 9"),
+    ({"kind": "float", "width": 4, "signed": True, "floatSplit": [3, 3]},
+     "float split (3, 3) does not fill width 4"),
+    ({"kind": "int", "width": 4, "signed": True, "floatSplit": [2, 1]},
+     "int takes no float split, got (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("ntype, message", BAD_NTYPES, ids=[m for _, m in BAD_NTYPES])
+def test_plan_ntype_naming_no_type_exits_4_naming_the_file_and_layer(base_dir, capsys, tmp_path,
+                                                                    ntype, message):
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    rc, err, plan = _simulate_plan(base_dir, capsys, tmp_path, _mutated(doc, A_NTYPE, ntype))
+    assert rc == cli.EXIT_VALIDATION, err
+    assert err == f"error: {plan}: plan layer l0 activationType ntype: {message}\n", err
+
+
+@pytest.mark.parametrize("ntype, message", BAD_NTYPES, ids=[m for _, m in BAD_NTYPES])
+def test_qtensor_ntype_naming_no_type_names_the_file(base_dir, tmp_path, ntype, message):
+    path = tmp_path / "w0.q"
+    header, payload = _read(os.path.join(base_dir, "w0.q"), "qtensor")
+    path.write_bytes(json.dumps({**header, "ntype": ntype}).encode() + b"\n" + payload)
+    with pytest.raises(QuantizationError) as e:
+        tensor_io.load_qtensor(str(path))
+    assert str(e.value) == f"{path}: ntype: {message}"
+
+
+@pytest.mark.parametrize("scales, message", [([0], "scales must be positive and finite"),
+                                             ([-0.5], "scales must be positive and finite"),
+                                             ([0.5, 0.5], "per-tensor scheme takes exactly one scale")])
+def test_qtensor_scales_the_scheme_cannot_take_name_the_file(base_dir, tmp_path, scales, message):
+    path = tmp_path / "w0.q"
+    header, payload = _read(os.path.join(base_dir, "w0.q"), "qtensor")
+    path.write_bytes(json.dumps({**header, "scales": scales, "axis": None}).encode() + b"\n"
+                     + payload)
+    with pytest.raises(QuantizationError) as e:
+        tensor_io.load_qtensor(str(path))
+    assert str(e.value) == f"{path}: header scales: {message}"
+
+
 @pytest.mark.parametrize("width, weight, activation, message", [
     (4, ("int", 8), ("int", 8), "width 4 disagrees"),
     (8, ("int", 4), ("int", 4), "width 8 disagrees"),
-    (4, ("float", 4), ("float", 4), "float types"),
+    (4, ("float", 8), ("float", 8), "width 4 disagrees"),
     (4, ("int", 4), ("flint", 8), "differ in width"),
     (5, ("int", 5), ("int", 5), "width must be 4 or 8, got 5"),
 ])
 def test_inconsistent_plan_layer_exits_4(base_dir, capsys, tmp_path, width, weight, activation,
                                          message):
     """The simulator runs each layer at its types' width, which its stated
-    ``width`` must match, on the integer-path PE, which decodes no float."""
+    ``width`` must match, whatever their kinds."""
     plan = tmp_path / "plan.json"
     with open(os.path.join(base_dir, "plan.json")) as f:
         doc = json.load(f)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from flintq import pe
 from flintq.flint import DecodedPair
-from flintq.qtypes import NumericType, QuantizationError
+from flintq.qtypes import KINDS, NumericType, QuantizationError
 
 TYPES4 = {
     "int": NumericType("int", 4, signed=True),
@@ -50,6 +50,24 @@ def test_decode_flint_codes():
     assert decode(0b1111, t).value == -6
 
 
+def test_decode_float_codes():
+    t = NumericType("float", 4, signed=True)  # e2m1: values are base * 2**(exponent - 1)
+    assert t.exponent_offset == 1
+    assert decode(0b0001, t) == DecodedPair(1, 0)   # subnormal 0.5: no leading one
+    assert decode(0b0010, t) == DecodedPair(2, 0)   # 1, the first normal
+    assert decode(0b0111, t) == DecodedPair(3, 2)   # 6
+    assert decode(0b1111, t) == DecodedPair(-3, 2)  # -6
+    assert decode(0b1000, t) == DecodedPair(0, 0)   # sign bit over a zero magnitude
+
+
+def test_float_operand_ranges():
+    # The largest base magnitude and exponent of each float format, which
+    # bound its products on int64 lanes (see the pe docstring).
+    for split, width, most in (((2, 1), 4, (3, 2)), ((4, 3), 8, (15, 14)), ((5, 2), 8, (7, 30))):
+        pair = NumericType("float", width, True, split).decoded()
+        assert (int(np.abs(pair.base).max()), int(pair.exponent.max())) == most, split
+
+
 def test_decode_operand_matches_lut():
     for name, t in TYPES4.items():
         pair = t.decoded()
@@ -66,7 +84,7 @@ def test_decode_operand_rejects_bad_code_and_kind():
     with pytest.raises(IndexError):
         TYPES4["int"].decoded().base[16]
     with pytest.raises(QuantizationError):
-        NumericType("float", 4, True, (2, 1)).decoded()
+        NumericType("posit", 4, True).decoded()
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +115,22 @@ def test_mac_exhaustive_all_type_pairs():
             for cb in range(16):
                 s = pe.mac_step(WIDE, da, decode(cb, tb))
                 assert s.accumulator == va[ca] * vb[cb]
+
+
+def test_mac_float_pairs_after_the_offset_shift():
+    # Float against every 4-bit kind, both orders, signed and unsigned: the
+    # shifted integer product times 2**-(offset_a + offset_b) is the
+    # product of the decoded values.
+    for signed in (False, True):
+        types = [NumericType(k, 4, signed) for k in KINDS]
+        for ta, tb in itertools.product(types, repeat=2):
+            if "float" not in (ta.kind, tb.kind):
+                continue
+            a, b = ta.decoded(), tb.decoded()
+            got = pe.mac_step(WIDE, DecodedPair(a.base[:, None], a.exponent[:, None]), b)
+            shift = ta.exponent_offset + tb.exponent_offset
+            want = np.outer(ta.code_values(), tb.code_values())
+            assert np.array_equal(np.ldexp(got.accumulator, -shift), want), (ta.name, tb.name)
 
 
 def test_mac_policy_widen_flags_but_keeps_exact():

@@ -127,6 +127,39 @@ def test_float_subnormals():
     assert lut[4] == 1.0  # first normal
 
 
+FLOAT_TYPES = [NumericType("float", w, s, (e, w - s - e))
+               for w in range(3, 9) for s in (False, True) for e in range(w - s + 1)]
+
+
+def _float_layout_values(t):
+    """Each float code's value from the layout's own formula: bias -1, and
+    exponent code 0 subnormal, at the exponent of code 1 with no leading
+    one; a sign bit (if signed) over the magnitude code."""
+    e_bits, m_bits = t.float_split
+    ec = np.arange(1 << e_bits)[:, None]
+    m = np.arange(1 << m_bits)[None, :]
+    normal = 2.0 ** (ec - 1) * (1.0 + m / (1 << m_bits))
+    sub = 2.0 ** 0 * (m / (1 << m_bits))
+    mag = np.where(ec == 0, sub, normal).ravel()
+    return np.concatenate([mag, -mag]) if t.signed else mag
+
+
+@pytest.mark.parametrize("ntype", FLOAT_TYPES, ids=lambda t: t.name)
+def test_float_code_values_match_the_layout_formula(ntype):
+    # Adding +0.0 maps the formula's -0.0 (a sign bit over a zero
+    # magnitude) to +0.0, what the (base, exponent) decode gives.
+    assert ntype.code_values().tobytes() == (_float_layout_values(ntype) + 0.0).tobytes()
+    assert ntype.exponent_offset == ntype.float_split[1]
+
+
+def test_no_code_value_is_negative_zero():
+    types = [NumericType(k, w, s) for k in KINDS if k != "float"
+             for w in range(3, 9) for s in (False, True)]
+    for t in types + FLOAT_TYPES:
+        values = t.code_values()
+        assert not np.any(np.signbit(values[values == 0])), t.name
+
+
 def test_float_split_fields_must_not_be_negative():
     with pytest.raises(QuantizationError):
         NumericType("float", 4, signed=True, float_split=(5, -2))
