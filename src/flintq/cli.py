@@ -246,7 +246,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for gl in graph:
         width = _plan_layer_width(plan_layers[gl.layer_id], f"{args.plan}: plan layer {gl.layer_id}")
         layers.append(sim.GemmLayer(gl.layer_id, gl.m, gl.n, gl.k, width=width))
-    report = sim.simulate_model(cfg, sim.GemmWorkload(layers))
+    try:
+        report = sim.simulate_model(cfg, sim.GemmWorkload(layers))
+    except sim.SimConfigError as exc:  # a layer the configured array cannot take
+        if not args.config:
+            raise
+        raise sim.SimConfigError(f"{args.config}: config: {exc}") from None
     inputs = [args.model, args.plan] + ([args.config] if args.config else [])
     sim.write_report_json(report, args.out + ".json", manifest=_manifest(args, inputs))
     sim.write_report_csv(report, args.out + ".csv")

@@ -2,17 +2,18 @@
 mixed-precision promotion loop.
 
 Scale search sweeps linear clipping ratios of the max-abs value and keeps
-the scale with the lowest quantization MSE.  A slice with fewer than
-``_DIRECT_VALUES_PER_CELL`` values per grid cell of a type is scored by
-quantizing it at every step, which is cheaper below the crossover measured
-there; longer slices are sorted once for all such types, cut by one
-``searchsorted`` of the thresholds times each scale, and scored from
-each row's one prefix sum, with the steps within a rounding bound of the
-best re-scored exactly.  Type selection runs one scale search for all candidate types
-and keeps the winner.  The promotion loop selects every layer's 4-bit
-types on one thread, in model order, and promotes the worst layer (by
-normalized MSE) to 8-bit int until the aggregate normalized MSE meets a
-threshold.
+the scale with the lowest quantization MSE.  Every step of every slice
+gets bounds on its MSE, and only the steps that may hold the slice's
+minimum are quantized and scored exactly.  A slice with fewer than
+``_DIRECT_VALUES_PER_CELL`` values per grid cell of a type is bounded from
+its largest and smallest values alone; longer slices are sorted once for
+all such types, cut by one ``searchsorted`` of the thresholds times each
+scale, and scored from each row's one prefix sum within a rounding bound.
+In a per-channel search a slice left with one step takes it unscored.
+Type selection runs one scale search for all candidate types and keeps
+the winner.  The promotion loop selects every layer's 4-bit types on one
+thread, in model order, and promotes the worst layer (by normalized MSE)
+to 8-bit int until the aggregate normalized MSE meets a threshold.
 """
 
 from __future__ import annotations
@@ -144,6 +145,64 @@ def _sweep_scores(
     return scored
 
 
+def _clip_bounds(
+    hi: np.ndarray, lo: np.ndarray, n: int, ntype: NumericType, scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (low, high) on ``mse(fake_quantize(...))`` of rows of ``n``
+    values at each of their scales (``scales[r]``), read off each row's
+    largest and smallest values ``hi[r]`` and ``lo[r]`` alone: every step's
+    computed MSE lies in [low, high].
+
+    With s the scale, the grid running from g_bot to g_top with largest
+    neighbouring gap h, and the extremes' clipping errors a = (hi -
+    g_top s)+ and b = (g_bot s - lo)+:
+
+    * ``lower = (a**2 + b**2) / n``.  A value above g_top s quantizes to the
+      top grid value (its quotient lies far above the top threshold), which
+      ``fake_quantize`` computes as g_top * s, as here; so ``a**2`` is bit
+      for bit the squared error the re-score gives hi, and ``b**2`` the one
+      it gives lo.  They are two of the n terms (one is zero when hi is lo),
+      and no term is negative;
+    * ``upper = max(a, b, h s / 2)**2``.  No value lies farther than that
+      from its quantized value: one inside the grid's range lies within half
+      a gap of its nearest grid value, one outside it no farther from the
+      end value than the extreme on its side.
+
+    The rounding, with u the unit roundoff and R = max|v| + D, D the
+    largest |g s|: the re-score sums n nonnegative terms and divides by n,
+    so its MSE is at least ``lower - (n + 2) u R**2``.  A value's quotient
+    v / s, its threshold (within an ulp of a midpoint) and the rounded g s
+    move its error at most 4uR past h s / 2, so its squared error, and so
+    the MSE, is at most ``upper + (n + 16) u R**2``.  Subnormal results add
+    at most a few times 2**-1075 to either side.  The margin, ``eps (n +
+    16) M / n + tiny`` with M = 2 n R**2, is four times both plus the least
+    normal number.  M is over twice any sum of squared errors, so if a sum
+    overflows, M does, and the infinite margin keeps every step (its low is
+    -inf or NaN).  Where R**2 is subnormal, every lower lies below the
+    margin, so every step is kept too.  A step whose low lies above another
+    step's high thus has the larger computed MSE: it is not the row's
+    earliest minimum.
+    """
+    grid = ntype.grid()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf margin keeps every step
+        over = np.maximum(hi[:, None] - grid[-1] * scales, 0.0)  # g * s as fake_quantize takes it
+        under = np.maximum(grid[0] * scales - lo[:, None], 0.0)
+        lower = (over * over + under * under) / n
+        upper = np.maximum(np.maximum(over, under), float(np.max(np.diff(grid))) / 2 * scales)
+        upper *= upper
+        reach = np.maximum(hi, -lo)[:, None] + float(np.max(np.abs(grid))) * scales
+        m_total = 2 * n * reach * reach
+        margin = np.finfo(np.float64).eps * (n + 16) * m_total / n + np.finfo(np.float64).tiny
+        return lower - margin, upper + margin
+
+
+def _may_be_least(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The steps of each row whose value, known to lie in [low, high], may
+    be the row's least: low not above the least high.  A NaN compares
+    False, so its step, or with a NaN high every step of its row, is kept."""
+    return ~(low > np.min(high, axis=1, keepdims=True))
+
+
 # Rows are swept in blocks, and re-scored in blocks and column chunks, whose
 # temporaries hold at most this many elements, so memory stays bounded
 # whatever the channel count or width: a block of sorted rows, or the cuts
@@ -153,14 +212,16 @@ def _sweep_scores(
 _BLOCK_ELEMENTS = 1 << 15
 
 # A type whose rows hold fewer than this many values per grid cell is scored
-# directly: quantizing a short row at all 81 steps costs less than cutting
-# it 81 times at every grid threshold.  Measured on 16 and 64 Laplace rows
+# directly: bounded from each row's extremes and quantized at the steps the
+# bounds leave, which for a short row costs less than cutting it 81 times at
+# every grid threshold.  Measured with the bounds on 16 and 64 Laplace rows
 # (2-CPU Xeon, best of 15 alternating calls, 3 fresh interpreters), direct
-# int8 scoring (257 cells) took 0.70-0.82x the prefix-sum time at 512 values
-# per row, 0.88-1.29x at 768, 1.10-1.47x at 1024 and 1.17-1.34x at 1536;
-# int4, pot4 and flint4 together (17 cells) took 0.81-0.94x at 32 values,
-# 0.98-1.18x at 48 and 1.21-1.40x at 64.  Both widths break even near 3
-# values per cell.  The switch stays at 6: at 3 the benchmark's warm-up, a
+# int8 scoring (257 cells) took 0.10-0.13x the prefix-sum time at 512 values
+# per row, 0.21-0.24x at 1024, 0.26-0.40x at 1536, 0.35-0.56x at 2048 and
+# 0.58-0.99x at 3072; int4, pot4 and flint4 together (17 cells) took
+# 0.91-0.98x at 32 values, 1.10-1.15x at 48 and 1.17-1.39x at 64.  So int8
+# breaks even past 12 values per cell, the 4-bit types near 2.  The switch
+# stays at 6 for every width: at 3 or less the benchmark's warm-up, a
 # 64-value selection, would take the prefix path and move the peak RSS of
 # sim-datapath, a workload that selects nothing.
 _DIRECT_VALUES_PER_CELL = 6
@@ -173,14 +234,18 @@ def _best_scales(
     ``ntypes``; returns each type's (scale, MSE) per row, and whether any
     row was all-zero (its scale falls back to 1.0).
 
-    A type whose rows hold fewer than ``_DIRECT_VALUES_PER_CELL`` values
-    per grid cell (``grid().size + 1`` cells) is scored directly: every
-    step of every row is re-scored exactly.  For the other types, each
-    block of rows is sorted once; every step is scored from the rows'
-    prefix sums, and only the steps that may hold a row's minimum within
-    the rounding bound are re-scored exactly.  Either way each row's result is that of
-    a plain quantize/dequantize/mse sweep, ties keeping the earlier
-    (smaller) scale.
+    Each step of each row gets bounds on its MSE, and only the steps whose
+    lower bound is not above the row's least upper bound are re-scored
+    exactly.  A type whose rows hold fewer than ``_DIRECT_VALUES_PER_CELL``
+    values per grid cell (``grid().size + 1`` cells) is bounded from each
+    row's two extremes (``_clip_bounds``); for the other types each block of
+    rows is sorted once, and every step is scored from the rows' prefix
+    sums within a rounding bound (``_sweep_scores``).  In a search of
+    several rows, where the caller takes each type's MSE from its whole
+    scheme, a row left with one step takes it unscored, its MSE NaN.  Either
+    way each row's scale is that of a plain quantize/dequantize/mse sweep,
+    ties keeping the earlier (smaller) scale, and each re-scored MSE is that
+    sweep's too.
 
     The re-score copies each block of candidate rows into one buffer,
     reused by every type, and turns it into squared errors in place.  Each
@@ -189,7 +254,8 @@ def _best_scales(
     row is then the same reduction over the same values as ``mse`` of the
     whole row.
     """
-    max_abs = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    hi, lo = rows.max(axis=1), rows.min(axis=1)
+    max_abs = np.maximum(hi, -lo)
     if not np.all(np.isfinite(max_abs)):
         raise QuantizationError("input tensor contains non-finite values")
     zero = max_abs == 0.0  # swept at max_abs 1.0, then given scale 1.0 and MSE 0
@@ -198,9 +264,11 @@ def _best_scales(
     top = np.where(zero, 1.0, max_abs)[:, None]
     sweeps = [top * ratios / steps / t.max_value() for t in ntypes]
     n = rows.shape[1]
-    # The types scored from prefix sums; every step of the others is re-scored.
+    # The types scored from prefix sums; the others are bounded by their clipping.
     swept = [i for i, t in enumerate(ntypes) if n >= _DIRECT_VALUES_PER_CELL * (t.grid().size + 1)]
-    maybe_best = [np.full(s.shape, i not in swept) for i, s in enumerate(sweeps)]
+    maybe_best = [np.empty(s.shape, dtype=bool) if i in swept
+                  else _may_be_least(*_clip_bounds(hi, lo, n, t, s))
+                  for i, (t, s) in enumerate(zip(ntypes, sweeps))]
     if swept:
         cuts = sum(ntypes[i].thresholds().size for i in swept)  # per row and step
         block = max(1, _BLOCK_ELEMENTS // max(n, ratios.size * cuts))
@@ -208,28 +276,33 @@ def _best_scales(
             scored = _sweep_scores(rows[b:b + block], [ntypes[i] for i in swept],
                                    [sweeps[i][b:b + block] for i in swept])
             for i, (est, bound) in zip(swept, scored):
-                # A NaN score (overflow) compares False, so its step is re-scored too.
-                maybe_best[i][b:b + block] = ~(est - bound
-                                               > np.min(est + bound, axis=1, keepdims=True))
-    block = min(max(1, _BLOCK_ELEMENTS // n), max(np.count_nonzero(mb) for mb in maybe_best))
+                maybe_best[i][b:b + block] = _may_be_least(est - bound, est + bound)
+    # (row, step) of every candidate, row-major: each row's steps in sweep order.
+    cands = [np.nonzero(mb) for mb in maybe_best]
+    # A lone row's score is the search's MSE; of several rows, one left with
+    # one step takes it unscored, as the caller scores the whole scheme.
+    least = 2 if len(rows) > 1 else 1
+    rescored = [np.flatnonzero(np.count_nonzero(mb, axis=1)[row] >= least)
+                for mb, (row, _) in zip(maybe_best, cands)]
+    block = max(1, min(_BLOCK_ELEMENTS // n, max(r.size for r in rescored)))
     sq_err = np.empty((block, n))  # one block of candidates' squared errors, for every type
     found = []
-    for ntype, sweep, mb in zip(ntypes, sweeps, maybe_best):
-        row, step = np.nonzero(mb)  # row-major: each row's steps in sweep order
+    for ntype, sweep, (row, step), todo in zip(ntypes, sweeps, cands, rescored):
         cand = sweep[row, step]
-        cand_err = np.empty(cand.size)
-        for b in range(0, cand.size, block):
-            scheme = QuantScheme(ntype, cand[b:b + block], axis=0)
-            err = sq_err[:scheme.scales.size]
+        cand_err = np.full(cand.size, np.nan)
+        for b in range(0, todo.size, block):
+            some = todo[b:b + block]
+            scheme = QuantScheme(ntype, cand[some], axis=0)
+            err = sq_err[:some.size]
             # A row longer than _BLOCK_ELEMENTS (alone in its block) goes in
             # column chunks.  Each chunk of err is contiguous, and mode="clip"
             # (every index is in range) lets take write into it unbuffered.
             for c in range(0, n, _BLOCK_ELEMENTS):
-                x = np.take(rows[:, c:c + _BLOCK_ELEMENTS], row[b:b + block], axis=0,
+                x = np.take(rows[:, c:c + _BLOCK_ELEMENTS], row[some], axis=0,
                             out=err[:, c:c + _BLOCK_ELEMENTS], mode="clip")
                 x -= fake_quantize(x, scheme)
                 np.square(x, out=x)
-            cand_err[b:b + block] = np.mean(err, axis=1)
+            cand_err[some] = np.mean(err, axis=1)
         # Lowest error per row; the stable sort keeps the earliest step on a tie.
         pick = np.lexsort((cand_err, row))[np.searchsorted(row, np.arange(len(rows)))]
         scales, errs = cand[pick], cand_err[pick]

@@ -182,6 +182,9 @@ def test_malformed_array_config_exits_3(base_dir, capsys, tmp_path, doc, key):
     ('{"dataflow": "xy"}', "dataflow must be 'os' or 'ws', got 'xy'"),
     ('{"buffer_bytes": 0}', "bandwidth and buffer size must be positive"),
     ('{"energy": {"mac4": -1}}', "energy cost mac4 must be >= 0"),
+    # Valid alone, but not for the model's layers.
+    ('{"dram_bandwidth_bits": 1e-320}', "l0: DRAM cycles overflow at 1e-320 bit/cycle"),
+    ('{"buffer_bytes": 100}', "l0: tile working set 16384 B exceeds buffer 100 B (effective array 64x64)"),
 ])
 def test_array_config_the_model_cannot_take_exits_4_naming_the_file(base_dir, capsys, tmp_path,
                                                                     doc, message):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flintq.qtypes import KINDS, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
 import flintq.selector as selector_mod
@@ -343,16 +344,29 @@ def test_long_rows_rescored_in_column_chunks(monkeypatch, case, rescore_every_st
     # one row of squared errors.  Each row's scale and re-scored MSE must be
     # the plain sweep's bit for bit, and each type's MSE that of its scheme.
     # Equal prefix-sum scores send every step of every row to the re-score.
+    # Near the best, a row of several left with one step would take it
+    # unscored, so every row's first step is kept too (an unbounded score):
+    # every row keeps two steps or more and runs the chunks.
     make, axis = LONG_ROW_CASES[case]
     t = make(selector_mod._BLOCK_ELEMENTS)
-    if rescore_every_step:
-        monkeypatch.setattr(selector_mod, "_sweep_scores",
-                            lambda v, types, scales: [(np.zeros(s.shape),) * 2 for s in scales])
+    real_scores = selector_mod._sweep_scores
+
+    def scores(v, types, scales):
+        if rescore_every_step:
+            return [(np.zeros(s.shape),) * 2 for s in scales]
+        scored = real_scores(v, types, scales)
+        for _, bound in scored:
+            bound[:, 0] = np.inf
+        return scored
+
+    monkeypatch.setattr(selector_mod, "_sweep_scores", scores)
     rows = t.reshape(1, -1) if axis is None else t
     want = [[_plain_sweep(row, ntype) for row in rows] for ntype in CANDS]
     found, _ = selector_mod._best_scales(rows, CANDS)
     for ntype, (scales, errs), w in zip(CANDS, found, want):
         assert list(zip(scales.tolist(), errs.tolist())) == w, ntype.name
+    if not rescore_every_step:
+        monkeypatch.undo()  # the search itself runs on the real scores
     sel = select_type(t, CANDS, axis)
     for ntype, (scheme, err), w in zip(CANDS, selector_mod._search(t, CANDS, axis)[0], want):
         assert scheme.scales.tolist() == [scale for scale, _ in w], ntype.name
@@ -558,6 +572,149 @@ def test_row_length_picks_the_scoring_path(monkeypatch, ntype):
     for n in (edge, 8 * 257 + 1):
         with pytest.raises(_PrefixScored):
             argmin_mse_scale(_channels((3, n), 0, n), ntype, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Clipping bounds of the direct path
+# ---------------------------------------------------------------------------
+
+BOUND_TYPES = [selector_mod.INT8, INT4, NumericType("pot", 4), NumericType("flint", 4)]
+BOUND_TYPES += [NumericType(t.kind, t.width, signed=False) for t in BOUND_TYPES]
+
+
+def _bound_row(dist, rng, n):
+    if dist == "normal":
+        return rng.standard_normal(n)
+    if dist == "laplace":
+        return rng.laplace(size=n)
+    if dist == "student_t1":
+        return rng.standard_t(1, n)
+    if dist == "two-point":
+        return rng.choice(rng.standard_normal(2), n)
+    return np.full(n, rng.standard_normal())  # constant
+
+
+def _sweep_of(row, ntype):
+    """The row's scales at every sweep step, as the search computes them."""
+    top = float(np.max(np.abs(row))) or 1.0
+    first = int(round(DEFAULT_SWEEP_STEPS * DEFAULT_MIN_CLIP_RATIO))
+    return top * np.arange(first, DEFAULT_SWEEP_STEPS + 1) / DEFAULT_SWEEP_STEPS / ntype.max_value()
+
+
+def _kept_steps(row, ntype):
+    """The steps of one row that its clipping bounds leave to the re-score."""
+    bounds = selector_mod._clip_bounds(np.array([row.max()]), np.array([row.min()]), row.size,
+                                       ntype, _sweep_of(row, ntype)[None])
+    return selector_mod._may_be_least(*bounds)[0]
+
+
+def _brute_force(row, ntype):
+    return np.array([mse(fake_quantize(row, QuantScheme(ntype, np.array([s]))), row)
+                     for s in _sweep_of(row, ntype)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 1600),
+       dist=st.sampled_from(["normal", "laplace", "student_t1", "two-point", "constant"]),
+       seed=st.integers(0, 2**32 - 1), magnitude=st.integers(-3, 3))
+def test_clip_bounds_drop_only_steps_above_the_minimum(n, dist, seed, magnitude):
+    # The bounds hold for any row length, so rows past the direct path's
+    # lengths are checked too.
+    row = _bound_row(dist, np.random.default_rng(seed), n) * 10.0 ** magnitude
+    for ntype in BOUND_TYPES:
+        v = _for_type(row, ntype)
+        kept, exact = _kept_steps(v, ntype), _brute_force(v, ntype)
+        assert np.all(exact[~kept] > exact.min()), ntype.name
+        assert kept[np.argmin(exact)], ntype.name
+
+
+def _adversarial_rows(ntype):
+    n = selector_mod._DIRECT_VALUES_PER_CELL * (ntype.grid().size + 1) - 1  # longest direct row
+    rng = np.random.default_rng(31)
+    scale = 3.0 * 57 / 100 / ntype.max_value()  # a step's scale at max|v| 3
+    on = np.concatenate([ntype.grid(), ntype.thresholds()]) * scale
+    return {
+        "on grid points and thresholds": np.append(rng.choice(on[np.abs(on) < 3.0], n - 1), 3.0),
+        "one outlier": np.append(rng.standard_normal(n - 1) * 1e-3, 1.0),
+        # Step 0 clips max|v| by 0.8 of itself, more than the other values of
+        # a short row win back, so this row's minimum is at step 0 because
+        # every squared error underflows: all 81 steps tie at 0.
+        "minimum at step 0": rng.laplace(size=n) * 1e-165,
+        "scaled by 1e-160": rng.laplace(size=n) * 1e-160,
+        "scaled by 1e150": rng.laplace(size=n) * 1e150,
+        "all zero": np.zeros(n),
+        "single value": np.array([-2.5]),
+    }
+
+
+@pytest.mark.parametrize("ntype", BOUND_TYPES, ids=lambda t: t.name)
+def test_clip_bounded_search_matches_plain_sweep_on_adversarial_rows(ntype):
+    rows = {name: _for_type(row, ntype) for name, row in _adversarial_rows(ntype).items()}
+    assert np.argmin(_brute_force(rows["minimum at step 0"], ntype)) == 0
+    for name in ("minimum at step 0", "scaled by 1e-160"):  # the squares underflow
+        assert _kept_steps(rows[name], ntype).all(), name
+    for name, row in rows.items():
+        scheme, err, _ = argmin_mse_scale(row, ntype)
+        assert (scheme.scales[0], err) == _plain_sweep(row, ntype), name
+    t = np.stack([row for row in rows.values() if row.size > 1])  # as channels of one tensor
+    scheme, err, deg = argmin_mse_scale(t, ntype, axis=0)
+    want = [_plain_sweep(row, ntype)[0] for row in t]
+    assert scheme.scales.tolist() == want
+    assert err == mse(fake_quantize(t, QuantScheme(ntype, np.array(want), axis=0)), t)
+    assert deg
+
+
+@pytest.mark.parametrize("ntype", BOUND_TYPES, ids=lambda t: t.name)
+def test_clip_bounds_keep_every_step_where_the_squares_overflow(ntype):
+    n = selector_mod._DIRECT_VALUES_PER_CELL * (ntype.grid().size + 1) - 1  # longest direct row
+    row = _for_type(np.random.default_rng(37).laplace(size=n) * 1e154, ntype)
+    assert _kept_steps(row, ntype).all()
+    with np.errstate(over="ignore"):  # the sums of squares overflow, some at every step
+        scheme, err, _ = argmin_mse_scale(row, ntype)
+        exact = _brute_force(row, ntype)
+    # The earliest least MSE wins, also when every step's MSE is inf.
+    assert (scheme.scales[0], err) == (_sweep_of(row, ntype)[np.argmin(exact)], exact.min())
+
+
+def _count_rescored_scales(monkeypatch):
+    """Every scale ``fake_quantize`` is called with from now on."""
+    rescored = []
+    real_fake_quantize = selector_mod.fake_quantize
+
+    def counting_fake_quantize(x, scheme):
+        rescored.extend(scheme.scales.tolist())
+        return real_fake_quantize(x, scheme)
+
+    monkeypatch.setattr(selector_mod, "fake_quantize", counting_fake_quantize)
+    return rescored
+
+
+def test_clip_bounds_leave_few_int8_steps_to_rescore(monkeypatch):
+    # 512-value rows take the direct path at int8, and the bounds leave at
+    # most 20 of each row's 81 steps to the exact re-score.
+    rows = np.random.default_rng(41).laplace(size=(8, 512))
+    rescored = _count_rescored_scales(monkeypatch)
+    [(scales, _)], _ = selector_mod._best_scales(rows, [selector_mod.INT8])
+    for row, scale in zip(rows, scales):
+        assert np.count_nonzero(np.isin(_sweep_of(row, selector_mod.INT8), rescored)) <= 20
+        assert scale == _plain_sweep(row, selector_mod.INT8)[0]
+
+
+def test_a_row_left_one_step_takes_it_unscored_only_among_several(monkeypatch):
+    # A single positive value leaves only its last step (clip ratio 1, error
+    # 0).  Among several rows it is taken unscored, its MSE NaN (the caller
+    # takes the MSE of the whole scheme); a lone row is re-scored, since its
+    # score is the search's MSE.
+    rescored = _count_rescored_scales(monkeypatch)
+    rows = np.array([[2.5], [1.0]])
+    [(scales, errs)], _ = selector_mod._best_scales(rows, [selector_mod.INT8])
+    assert rescored == [] and np.isnan(errs).all()
+    assert scales.tolist() == [_plain_sweep(row, selector_mod.INT8)[0] for row in rows]
+    [(scales, errs)], _ = selector_mod._best_scales(rows[:1], [selector_mod.INT8])
+    assert rescored == scales.tolist()
+    assert (scales[0], errs[0]) == _plain_sweep(rows[0], selector_mod.INT8)
+    scheme, err, _ = argmin_mse_scale(rows, selector_mod.INT8, axis=0)
+    assert err == mse(fake_quantize(rows, scheme), rows) == 0.0
 
 
 def test_ntype_json_roundtrip():
