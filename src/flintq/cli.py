@@ -214,21 +214,6 @@ def _write_mse_csv(path: str, plan) -> None:
         w.writerows(rows)
 
 
-def _plan_layer_width(layer: dict, where: str) -> int:
-    """The width of a plan layer's two types, which must be one width, the
-    layer's stated ``width``, and one the PE runs (4 or 8)."""
-    w, a = tensor_io.plan_layer_types(layer, where)
-    if w.width != a.width:
-        raise QuantizationError(f"{where}: weight type {w.name} and activation type {a.name} "
-                                "differ in width")
-    if layer["width"] != w.width:
-        raise QuantizationError(f"{where}: width {layer['width']} disagrees with its types "
-                                f"({w.name}, {a.name})")
-    if w.width not in (4, 8):
-        raise QuantizationError(f"{where}: width must be 4 or 8, got {w.width}")
-    return w.width
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = tensor_io.load_model_graph(args.model)
     # Only ids, widths and ntypes are read: the scales and MSEs stay undecoded.
@@ -244,7 +229,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     layers = []
     for gl in graph:
-        width = _plan_layer_width(plan_layers[gl.layer_id], f"{args.plan}: plan layer {gl.layer_id}")
+        width = tensor_io.plan_layer_width(plan_layers[gl.layer_id],
+                                           f"{args.plan}: plan layer {gl.layer_id}")
         layers.append(sim.GemmLayer(gl.layer_id, gl.m, gl.n, gl.k, width=width))
     try:
         report = sim.simulate_model(cfg, sim.GemmWorkload(layers))

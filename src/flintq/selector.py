@@ -242,8 +242,9 @@ def _best_scales(
     rows is sorted once, and every step is scored from the rows' prefix
     sums within a rounding bound (``_sweep_scores``).  In a search of
     several rows, where the caller takes each type's MSE from its whole
-    scheme, a row left with one step takes it unscored, its MSE NaN.  Either
-    way each row's scale is that of a plain quantize/dequantize/mse sweep,
+    scheme, a row left with one step takes it unscored, its MSE NaN; an
+    all-zero row keeps only its first step.  Either way each row's scale is
+    that of a plain quantize/dequantize/mse sweep,
     ties keeping the earlier (smaller) scale, and each re-scored MSE is that
     sweep's too.
 
@@ -277,6 +278,8 @@ def _best_scales(
                                    [sweeps[i][b:b + block] for i in swept])
             for i, (est, bound) in zip(swept, scored):
                 maybe_best[i][b:b + block] = _may_be_least(est - bound, est + bound)
+    for mb in maybe_best:  # an all-zero row's scale and MSE are fixed
+        mb[zero] = np.arange(ratios.size) == 0
     # (row, step) of every candidate, row-major: each row's steps in sweep order.
     cands = [np.nonzero(mb) for mb in maybe_best]
     # A lone row's score is the search's MSE; of several rows, one left with
@@ -315,17 +318,22 @@ def _search(
     t: np.ndarray, ntypes: Sequence[NumericType], axis: int | None
 ) -> tuple[list[tuple[QuantScheme, float]], bool]:
     """The scale search of ``t`` for every type of ``ntypes`` at once: each
-    type's scheme and overall MSE, and the all-zero-slice flag."""
+    type's scheme and overall MSE, and the all-zero-slice flag.  Values
+    near 1e153 or more overflow the scores and MSEs to inf or NaN, which
+    the search takes without a warning."""
     t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         raise QuantizationError("cannot search scales on an empty tensor")
     axis = check_axis(axis, t.ndim)
-    if axis is None:
-        found, degenerate = _best_scales(t.reshape(1, -1), ntypes)
-        return [(QuantScheme(nt, s), float(e[0])) for nt, (s, e) in zip(ntypes, found)], degenerate
-    found, degenerate = _best_scales(np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1), ntypes)
-    schemes = [QuantScheme(nt, s, axis=axis) for nt, (s, _) in zip(ntypes, found)]
-    return [(sc, mse(fake_quantize(t, sc), t)) for sc in schemes], degenerate
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN score keeps every step
+        if axis is None:
+            found, degenerate = _best_scales(t.reshape(1, -1), ntypes)
+            return ([(QuantScheme(nt, s), float(e[0])) for nt, (s, e) in zip(ntypes, found)],
+                    degenerate)
+        found, degenerate = _best_scales(np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1),
+                                         ntypes)
+        schemes = [QuantScheme(nt, s, axis=axis) for nt, (s, _) in zip(ntypes, found)]
+        return [(sc, mse(fake_quantize(t, sc), t)) for sc in schemes], degenerate
 
 
 def argmin_mse_scale(

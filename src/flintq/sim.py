@@ -60,9 +60,7 @@ class ArrayConfig:
         return ArrayConfig(energy=energy, **kwargs)
 
     def to_json(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k != "energy"}
-        d["energy"] = asdict(self.energy)
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)

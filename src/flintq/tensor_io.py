@@ -38,58 +38,41 @@ _JSON_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string", int:
                float: "a number", bool: "true or false", type(None): "null"}
 
 
-def _require_type(value, where: str, *types: type):
-    """Return ``value`` if its exact type is one of ``types``."""
+# Every JSON integer an input holds must lie in [-2**63, 2**63), so that
+# no arithmetic on it overflows a float.
+INT_BOUND = 1 << 63
+
+
+def _value(value, where: str, *types: type):
+    """Return ``value`` if its exact type is one of ``types``, an integer
+    lies within [-2**63, 2**63) and a number with a fraction or an exponent
+    is finite."""
     if type(value) not in types:
         want = " or ".join(_JSON_NAMES[t] for t in types)
         got = json.dumps(value, default=float)  # number text read as bytes prints as its number
         if len(got) > 40:
             got = got[:37] + "..."
         raise TensorIOError(f"{where}: expected {want}, got {got}")
+    if type(value) is int and not -INT_BOUND <= value < INT_BOUND:
+        raise TensorIOError(f"{where}: integer out of range [-2**63, 2**63)")
+    if type(value) is float and not math.isfinite(value):
+        raise TensorIOError(f"{where}: expected a finite number, got {value}")
     return value
 
 
 def _require(doc, keys: tuple[str, ...], where: str) -> dict:
     """Return ``doc`` if it is a JSON object holding every key in ``keys``."""
-    missing = [k for k in keys if k not in _require_type(doc, where, dict)]
+    missing = [k for k in keys if k not in _value(doc, where, dict)]
     if missing:
         raise TensorIOError(f"{where}: missing required key(s) {', '.join(missing)}")
     return doc
 
 
-# Every JSON integer an input holds must lie in [-2**63, 2**63), so that
-# no arithmetic on it overflows a float.
-INT_BOUND = 1 << 63
-
-
-def _bounded(value: int, where: str) -> int:
-    if not -INT_BOUND <= value < INT_BOUND:
-        raise TensorIOError(f"{where}: integer out of range [-2**63, 2**63)")
-    return value
-
-
-def _require_int(doc: dict, key: str, where: str, default: int | None = None) -> int:
-    """``doc[key]`` (``default`` if given and the key is absent) if it is a
-    JSON integer within the bound: null, true/false, a number with a
-    fraction or exponent, a string, a list or an object is malformed."""
-    value = doc[key] if default is None else doc.get(key, default)
-    return _bounded(_require_type(value, f"{where} {key}", int), f"{where} {key}")
-
-
-def _require_number(value, where: str) -> int | float:
-    """``value`` if it is a JSON integer within the bound or a finite number."""
-    if type(_require_type(value, where, int, float)) is int:
-        return _bounded(value, where)
-    if not math.isfinite(value):
-        raise TensorIOError(f"{where}: expected a finite number, got {value}")
-    return value
-
-
 def _require_shape(header: dict, path: str) -> tuple[int, ...]:
     where = f"{path}: header shape"
-    shape = tuple(_require_type(header["shape"], where, list))
+    shape = tuple(_value(header["shape"], where, list))
     for dim in shape:
-        if _bounded(_require_type(dim, where, int), where) < 0:
+        if _value(dim, where, int) < 0:
             raise TensorIOError(f"{where}: negative dimension {dim}")
     return shape
 
@@ -100,13 +83,15 @@ def _load_ntype(doc, where: str) -> NumericType:
     two integers.  A type those do not make is a QuantizationError prefixed
     with ``where``."""
     _require(doc, NTYPE_KEYS, where)
-    _require_type(doc["kind"], f"{where} kind", str)
-    _require_int(doc, "width", where)
-    _require_type(doc["signed"], f"{where} signed", bool)
-    split = _require_type(doc.get("floatSplit"), f"{where} floatSplit", list, type(None))
+    _value(doc["kind"], f"{where} kind", str)
+    _value(doc["width"], f"{where} width", int)
+    _value(doc["signed"], f"{where} signed", bool)
+    split = _value(doc.get("floatSplit"), f"{where} floatSplit", list, type(None))
     if split is not None and (len(split) != 2 or any(type(v) is not int for v in split)):
         raise TensorIOError(f"{where} floatSplit: expected two integers, "
                             f"got {json.dumps(split, default=float)}")
+    for v in split or ():
+        _value(v, f"{where} floatSplit", int)
     try:
         return ntype_from_json(doc)
     except QuantizationError as exc:
@@ -187,9 +172,9 @@ def load_qtensor(path: str) -> QTensor:
     codes = np.frombuffer(payload, dtype=np.uint8)
     if codes.size and int(codes.max()) >= (1 << ntype.width):
         raise TensorIOError(f"{path}: code exceeds {ntype.width}-bit width")
-    scales = [_require_number(v, f"{path}: header scales")
-              for v in _require_type(header["scales"], f"{path}: header scales", list)]
-    axis = _require_type(header.get("axis"), f"{path}: header axis", int, type(None))
+    scales = [_value(v, f"{path}: header scales", int, float)
+              for v in _value(header["scales"], f"{path}: header scales", list)]
+    axis = _value(header.get("axis"), f"{path}: header axis", int, type(None))
     if axis is not None and not (0 <= axis < len(shape) and len(scales) == shape[axis]):
         raise TensorIOError(f"{path}: {len(scales)} scales along axis {axis} of shape {list(shape)}")
     try:
@@ -257,31 +242,31 @@ def lower_conv_to_gemm(dims: ConvDims) -> tuple[int, int, int]:
 
 
 def _layer_from_json(d, path: str) -> GraphLayer:
-    lid = _require_type(_require(d, ("layerId",), f"{path}: model layer")["layerId"],
-                        f"{path}: model layer layerId", str)
+    lid = _value(_require(d, ("layerId",), f"{path}: model layer")["layerId"],
+                 f"{path}: model layer layerId", str)
     where = f"{path}: model layer {lid}"
     kind = d.get("kind", "gemm")
     if kind == "gemm":
         keys = ("M", "N", "K")
         _require(d, keys, where)
-        m, n, k = dims = [_require_int(d, key, where) for key in keys]
+        m, n, k = dims = [_value(d[key], f"{where} {key}", int) for key in keys]
         _check_at_least(keys, dims, {}, f"{where}: ")
     elif kind == "conv":
         _require(d, CONV_KEYS, where)
-        dims = ConvDims(*(_require_int(d, key, where) for key in CONV_KEYS),
-                        stride=_require_int(d, "stride", where, 1),
-                        pad=_require_int(d, "pad", where, 0))
+        dims = ConvDims(*(_value(d[key], f"{where} {key}", int) for key in CONV_KEYS),
+                        stride=_value(d.get("stride", 1), f"{where} stride", int),
+                        pad=_value(d.get("pad", 0), f"{where} pad", int))
         try:
             m, n, k = lower_conv_to_gemm(dims)
         except TensorIOError as exc:
             raise TensorIOError(f"{where}: {exc}") from None
     else:
         raise TensorIOError(f"{where}: unknown layer kind {kind!r}")
-    weight = _require_type(d.get("weightTensor"), f"{where} weightTensor", str, type(None))
-    calib = _require_type(d.get("calibrationActivations"), f"{where} calibrationActivations",
-                          list, type(None))
+    weight = _value(d.get("weightTensor"), f"{where} weightTensor", str, type(None))
+    calib = _value(d.get("calibrationActivations"), f"{where} calibrationActivations",
+                   list, type(None))
     for p in calib or ():
-        _require_type(p, f"{where} calibrationActivations", str)
+        _value(p, f"{where} calibrationActivations", str)
     base_dir = os.path.dirname(os.path.abspath(path))
     join = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
     return GraphLayer(
@@ -295,7 +280,7 @@ def load_model_graph(path: str) -> list[GraphLayer]:
     doc = _load_json(path)
     layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
     layers = [_layer_from_json(d, path)
-              for d in _require_type(layers_doc, f"{path}: layers", list)]
+              for d in _value(layers_doc, f"{path}: layers", list)]
     seen = set()
     for l in layers:
         if l.layer_id in seen:
@@ -320,46 +305,51 @@ def load_plan(path: str, parse_float=float) -> dict:
     check that wants a string, an integer or a boolean still rejects one."""
     doc = _require(_load_json(path, parse_float), ("layers",), path)
     seen = set()
-    for layer in _require_type(doc["layers"], f"{path}: layers", list):
+    for layer in _value(doc["layers"], f"{path}: layers", list):
         _require(layer, ("layerId", "width"), f"{path}: plan layer")
-        lid = _require_type(layer["layerId"], f"{path}: plan layer layerId", str)
-        _require_int(layer, "width", f"{path}: plan layer {lid}")
+        lid = _value(layer["layerId"], f"{path}: plan layer layerId", str)
+        _value(layer["width"], f"{path}: plan layer {lid} width", int)
         if lid in seen:
             raise TensorIOError(f"{path}: duplicate plan layer id {lid!r}")
         seen.add(lid)
     return doc
 
 
-def plan_layer_types(layer: dict, where: str) -> tuple[NumericType, NumericType]:
-    """The weight and activation types one plan layer selects."""
-    types = []
-    for role in ("weightType", "activationType"):
-        selection = _require(_require(layer, (role,), where)[role], ("ntype",), f"{where} {role}")
-        types.append(_load_ntype(selection["ntype"], f"{where} {role} ntype"))
-    return tuple(types)
+def plan_layer_width(layer: dict, where: str) -> int:
+    """The width of a plan layer's weight and activation types, which must
+    be one width, the layer's stated ``width``, and one the PE runs (4 or
+    8)."""
+    w, a = (_load_ntype(_require(_require(layer, (role,), where)[role], ("ntype",),
+                                 f"{where} {role}")["ntype"], f"{where} {role} ntype")
+            for role in ("weightType", "activationType"))
+    if w.width != a.width:
+        raise QuantizationError(f"{where}: weight type {w.name} and activation type {a.name} "
+                                "differ in width")
+    if layer["width"] != w.width:
+        raise QuantizationError(f"{where}: width {layer['width']} disagrees with its types "
+                                f"({w.name}, {a.name})")
+    if w.width not in (4, 8):
+        raise QuantizationError(f"{where}: width must be 4 or 8, got {w.width}")
+    return w.width
 
 
 # ---------------------------------------------------------------------------
 # Array configs
 # ---------------------------------------------------------------------------
 
-def _config_fields(doc, cls, where: str) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from a JSON object: every
-    key names a field, and every value has the type its field is annotated
-    with (``float`` takes any JSON number)."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in _require_type(doc, where, dict).items():
+# The JSON types a config field takes, by the type its field is annotated with.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "EnergyTable": (dict,)}
+
+
+def _check_fields(doc, cls, where: str) -> dict:
+    """Return the JSON object ``doc`` if every key names a field of the
+    dataclass ``cls`` and every value has a JSON type its field takes."""
+    types = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(cls)}
+    for key, value in _value(doc, where, dict).items():
         if key not in types:
             raise TensorIOError(f"{where}: unknown key {key!r}")
-        at = f"{where} {key}"
-        if types[key] == "float":
-            kwargs[key] = _require_number(value, at)
-        elif types[key] == "int":
-            kwargs[key] = _bounded(_require_type(value, at, int), at)
-        else:
-            kwargs[key] = _require_type(value, at, {"str": str, "EnergyTable": dict}[types[key]])
-    return kwargs
+        _value(value, f"{where} {key}", *types[key])
+    return doc
 
 
 def load_array_config(path: str) -> sim.ArrayConfig:
@@ -367,11 +357,9 @@ def load_array_config(path: str) -> sim.ArrayConfig:
     left out taking its default, with ``energy`` an object of
     ``EnergyTable`` costs.  Values the model cannot take are a
     SimConfigError prefixed with the path."""
-    kwargs = _config_fields(_load_json(path), sim.ArrayConfig, f"{path}: config")
-    if "energy" in kwargs:
-        kwargs["energy"] = sim.EnergyTable(**_config_fields(kwargs["energy"], sim.EnergyTable,
-                                                            f"{path}: config energy"))
+    doc = _check_fields(_load_json(path), sim.ArrayConfig, f"{path}: config")
+    _check_fields(doc.get("energy", {}), sim.EnergyTable, f"{path}: config energy")
     try:
-        return sim.ArrayConfig(**kwargs)
+        return sim.ArrayConfig.from_json(doc)
     except sim.SimConfigError as exc:
         raise sim.SimConfigError(f"{path}: config: {exc}") from None

@@ -356,6 +356,33 @@ def test_plan_number_where_none_belongs_exits_3(base_dir, capsys, tmp_path, path
     assert rc == cli.EXIT_INPUT and err == f"error: {plan}: {message}\n", err
 
 
+@pytest.mark.parametrize("split", [[HUGE, 1], [3, 2**63], [-2**63 - 1, 0]],
+                         ids=["1e400", "2**63", "-2**63-1"])
+def test_plan_float_split_element_out_of_range_exits_3(base_dir, capsys, tmp_path, split):
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    rc, err, plan = _simulate_plan(base_dir, capsys, tmp_path,
+                                   _mutated(doc, W_NTYPE + ("floatSplit",), split))
+    assert rc == cli.EXIT_INPUT, err
+    assert err == (f"error: {plan}: plan layer l0 weightType ntype floatSplit: "
+                   "integer out of range [-2**63, 2**63)\n"), err
+
+
+def test_plan_float_split_elements_at_the_bound_name_no_type(base_dir, capsys, tmp_path):
+    doc, _ = _read(os.path.join(base_dir, "plan.json"), "plan")
+    rc, err, _ = _simulate_plan(base_dir, capsys, tmp_path,
+                                _mutated(doc, W_NTYPE + ("floatSplit",), [2**63 - 1, -2**63]))
+    assert rc == cli.EXIT_VALIDATION, err
+
+
+def test_qtensor_axis_out_of_range_names_the_axis(base_dir, tmp_path):
+    path = tmp_path / "w0.q"
+    header, payload = _read(os.path.join(base_dir, "w0.q"), "qtensor")
+    path.write_bytes(json.dumps({**header, "axis": HUGE}).encode() + b"\n" + payload)
+    with pytest.raises(tensor_io.TensorIOError) as e:
+        tensor_io.load_qtensor(str(path))
+    assert str(e.value) == f"{path}: header axis: integer out of range [-2**63, 2**63)"
+
+
 @pytest.mark.parametrize("text", ["1.2.3", "1e", ".5", "01", "-", "1."])
 def test_malformed_number_in_plan_scales_exits_3(base_dir, capsys, tmp_path, text):
     """The scales go undecoded, but the JSON grammar of each is still checked."""

@@ -717,6 +717,42 @@ def test_a_row_left_one_step_takes_it_unscored_only_among_several(monkeypatch):
     assert err == mse(fake_quantize(rows, scheme), rows) == 0.0
 
 
+def test_an_all_zero_row_adds_no_rescored_steps(monkeypatch):
+    # An all-zero row's scale (1.0) and MSE (0) are the same at every step,
+    # so it keeps only its first, which among several rows goes unscored.
+    rows = np.random.default_rng(43).laplace(size=(4, 512))
+    zeroed = rows.copy()
+    zeroed[1] = 0.0
+    rescored = _count_rescored_scales(monkeypatch)
+    argmin_mse_scale(rows, selector_mod.INT8, axis=0)
+    plain = len(rescored)
+    scheme, err, degenerate = argmin_mse_scale(zeroed, selector_mod.INT8, axis=0)
+    assert len(rescored) - plain <= plain
+    assert scheme.scales.tolist() == [_plain_sweep(row, selector_mod.INT8)[0] for row in zeroed]
+    assert err == mse(fake_quantize(zeroed, scheme), zeroed) and degenerate
+
+
+@pytest.mark.parametrize("magnitude", [1e153, 1e154])
+def test_huge_values_search_without_a_warning(magnitude):
+    # The prefix scores, the re-score and the scheme's MSE overflow (every
+    # MSE is inf at 1e154); each inf or NaN keeps its steps, and the suite
+    # turns any warning into an error.
+    t = np.random.default_rng(47).laplace(size=500) * magnitude
+    channels = t.reshape(4, 125)
+    with np.errstate(over="ignore"):  # the earliest least MSE, also when every one is inf
+        exact = [_brute_force(row, INT4) for row in (t, *channels)]
+        want_scales = [_sweep_of(row, INT4)[np.argmin(e)] for row, e in zip(channels, exact[1:])]
+        want_scheme = QuantScheme(INT4, np.array(want_scales), axis=0)
+        want_err = mse(fake_quantize(channels, want_scheme), channels)
+    scheme, err, _ = argmin_mse_scale(t, INT4)
+    assert (scheme.scales[0], err) == (_sweep_of(t, INT4)[np.argmin(exact[0])], exact[0].min())
+    scheme, err, _ = argmin_mse_scale(channels, INT4, axis=0)
+    assert (scheme.scales.tolist(), err) == (want_scales, want_err)
+    chosen = select_type(channels, CANDS, axis=0)
+    assert chosen.per_candidate_mse == {
+        c.name: argmin_mse_scale(channels, c, axis=0)[1] for c in CANDS}
+
+
 def test_ntype_json_roundtrip():
     for t in CANDS + [NumericType("float", 4, True, (2, 1))]:
         assert ntype_from_json(ntype_to_json(t)) == t
