@@ -70,15 +70,6 @@ def _parse_ntype(args: argparse.Namespace) -> NumericType:
     return NumericType(args.type, args.bits, args.signed, args.float_split)
 
 
-def _float_split(text: str) -> tuple[int, int]:
-    """``--float-split E,M``: two integers."""
-    try:
-        e, m = (int(f) for f in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected E,M (two integers), got {text!r}") from None
-    return e, m
-
-
 def _checked(cast, ok, expected: str):
     """An argparse type: ``cast(text)``, which ``ok`` must accept (a NaN
     fails every comparison); otherwise a usage error expecting ``expected``."""
@@ -91,20 +82,6 @@ def _checked(cast, ok, expected: str):
             pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
-
-
-def _non_negative(cast):
-    """``cast(text)``, which must be >= 0."""
-    return _checked(cast, lambda value: value >= 0, f"a non-negative {cast.__name__}")
-
-
-def _candidate_kinds(text: str) -> list[str]:
-    """``--candidates``: comma-separated kinds."""
-    kinds = [k.strip() for k in text.split(",")]
-    if not set(kinds) <= set(KINDS):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated kinds among {','.join(KINDS)}, got {text!r}")
-    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    bits = _checked(int, lambda width: 3 <= width <= 8, "a width from 3 to 8")
+    ntype_flags = argparse.ArgumentParser(add_help=False)  # tables and quantize
+    ntype_flags.add_argument("--type", required=True, choices=KINDS)
+    ntype_flags.add_argument("--bits", type=_checked(int, lambda width: 3 <= width <= 8,
+                                                     "a width from 3 to 8"), default=4)
+    ntype_flags.add_argument("--signed", action="store_true")
+    ntype_flags.add_argument("--float-split", help="E,M for float types",
+                             type=_checked(lambda text: tuple(int(f) for f in text.split(",")),
+                                           lambda split: len(split) == 2, "E,M (two integers)"))
 
-    p = sub.add_parser("tables", help="print the value table of a numeric type")
-    p.add_argument("--type", required=True, choices=KINDS)
-    p.add_argument("--bits", type=bits, default=4)
-    p.add_argument("--signed", action="store_true")
-    p.add_argument("--float-split", type=_float_split, help="E,M for float types")
+    p = sub.add_parser("tables", parents=[ntype_flags],
+                       help="print the value table of a numeric type")
     p.add_argument("--csv", help="write CSV instead of stdout")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("quantize", help="quantize a tensor file")
+    p = sub.add_parser("quantize", parents=[ntype_flags], help="quantize a tensor file")
     p.add_argument("input")
-    p.add_argument("--type", required=True, choices=KINDS)
-    p.add_argument("--bits", type=bits, default=4)
-    p.add_argument("--signed", action="store_true")
-    p.add_argument("--float-split", type=_float_split, help="E,M for float types")
     fixed_or_searched = p.add_mutually_exclusive_group()
     fixed_or_searched.add_argument("--scale", type=_checked(float, lambda s: 0 < s < np.inf,
                                                             "a finite number > 0"),
@@ -290,11 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select types and plan mixed precision")
     p.add_argument("model", help="model graph JSON")
-    p.add_argument("--candidates", type=_candidate_kinds, default=list(DEFAULT_CANDIDATES),
+    p.add_argument("--candidates", default=list(DEFAULT_CANDIDATES),
+                   type=_checked(lambda text: [k.strip() for k in text.split(",")],
+                                 lambda kinds: set(kinds) <= set(KINDS),
+                                 f"comma-separated kinds among {','.join(KINDS)}"),
                    help="comma-separated kinds to choose among (default: int,pot,flint)")
-    p.add_argument("--threshold", type=_non_negative(float), default=float("inf"),
-                   help="aggregate normalized-MSE target for promotion")
-    p.add_argument("--promote-budget", type=_non_negative(int),
+    p.add_argument("--threshold", type=_checked(float, lambda t: t >= 0, "a non-negative float"),
+                   default=float("inf"), help="aggregate normalized-MSE target for promotion")
+    p.add_argument("--promote-budget", type=_checked(int, lambda n: n >= 0, "a non-negative int"),
                    help="max layers promoted to 8-bit")
     p.add_argument("--out", required=True, help="plan JSON path")
     p.add_argument("--mse-csv", help="per-tensor candidate MSE CSV")
