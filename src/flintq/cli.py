@@ -166,26 +166,23 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def _write_mse_csv(path: str, plan) -> None:
-    """Per-tensor candidate MSEs, normalized to the flint candidate."""
+    """Per-tensor candidate MSEs, normalized to the chosen type's."""
     rows = []
     for layer in plan.layers:
         for role, sel in (("weight", layer.weight_4bit), ("activation", layer.activation_4bit)):
-            ref = next(
-                (v for k, v in sel.per_candidate_mse.items() if "flint" in k), None
-            )
             for cand, err in sel.per_candidate_mse.items():
                 rows.append({
                     "layer": layer.layer_id,
                     "tensor": role,
                     "candidate": cand,
                     "mse": err,
-                    "mse_normalized_to_flint": err / ref if ref else "",
+                    "mse_normalized_to_chosen": err / sel.mse_value if sel.mse_value else "",
                     "chosen": int(cand == sel.ntype.name),
                 })
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(
             f,
-            fieldnames=["layer", "tensor", "candidate", "mse", "mse_normalized_to_flint", "chosen"],
+            fieldnames=["layer", "tensor", "candidate", "mse", "mse_normalized_to_chosen", "chosen"],
         )
         w.writeheader()
         w.writerows(rows)

@@ -298,10 +298,23 @@ def test_select_mse_csv(tmp_path):
     # 2 layers x 2 tensors x 3 candidates
     assert len(rows) == 12
     for r in rows:
-        if "flint" in r["candidate"]:
-            assert float(r["mse_normalized_to_flint"]) == 1.0
+        if r["chosen"] == "1":
+            assert float(r["mse_normalized_to_chosen"]) == 1.0
     chosen = [r for r in rows if r["chosen"] == "1"]
     assert len(chosen) == 4
+
+
+def test_mse_csv_without_flint_normalizes_every_row(tmp_path):
+    # The chosen type is a candidate of every tensor, whatever the list.
+    csv_path = str(tmp_path / "mse.csv")
+    rc, _, _ = run_select(tmp_path, "--candidates", "float,int", "--mse-csv", csv_path)
+    assert rc == 0
+    with open(csv_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 8
+    chosen = {(r["layer"], r["tensor"]): float(r["mse"]) for r in rows if r["chosen"] == "1"}
+    for r in rows:
+        assert float(r["mse_normalized_to_chosen"]) == float(r["mse"]) / chosen[r["layer"], r["tensor"]]
 
 
 def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
