@@ -454,7 +454,8 @@ class PrecisionPlan:
 
 
 def _normalized_mse(t: np.ndarray, err: float) -> float:
-    power = float(np.mean(np.asarray(t, dtype=np.float64) ** 2))
+    with np.errstate(over="ignore"):  # values near 1e154 or more: the power is inf, as err is
+        power = float(np.mean(np.asarray(t, dtype=np.float64) ** 2))
     return err / power if power > 0 else 0.0
 
 

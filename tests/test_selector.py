@@ -118,11 +118,11 @@ def _plain_sweep(v, ntype, steps=DEFAULT_SWEEP_STEPS, min_ratio=DEFAULT_MIN_CLIP
     max_abs = float(np.max(np.abs(v)))
     if max_abs == 0.0:
         return 1.0, 0.0
-    best_scale, best_mse = None, np.inf
+    best_scale, best_mse = None, None
     for j in range(int(round(steps * min_ratio)), steps + 1):
         scale = max_abs * j / steps / ntype.max_value()
         err = mse(fake_quantize(v, QuantScheme(ntype, np.array([scale]))), v)
-        if err < best_mse:
+        if best_scale is None or err < best_mse:  # the first step, also when every MSE is inf
             best_mse, best_scale = err, scale
     return best_scale, best_mse
 
@@ -744,8 +744,10 @@ def test_huge_values_search_without_a_warning(magnitude):
         want_scales = [_sweep_of(row, INT4)[np.argmin(e)] for row, e in zip(channels, exact[1:])]
         want_scheme = QuantScheme(INT4, np.array(want_scales), axis=0)
         want_err = mse(fake_quantize(channels, want_scheme), channels)
+        plain = _plain_sweep(t, INT4)
     scheme, err, _ = argmin_mse_scale(t, INT4)
     assert (scheme.scales[0], err) == (_sweep_of(t, INT4)[np.argmin(exact[0])], exact[0].min())
+    assert (scheme.scales[0], err) == plain
     scheme, err, _ = argmin_mse_scale(channels, INT4, axis=0)
     assert (scheme.scales.tolist(), err) == (want_scales, want_err)
     chosen = select_type(channels, CANDS, axis=0)
@@ -766,6 +768,16 @@ def test_plan_defaults_to_all_4bit():
     plan = plan_mixed_precision(_layers(), CANDS)
     assert all(l.width == 4 for l in plan.layers)
     assert plan.promotion_order == []
+
+
+def test_plan_on_huge_values_warns_nothing():
+    # The weight's power overflows at 1e154, and the suite turns the warning
+    # into an error.  With the warning suppressed, the power was inf before
+    # too, and so was the weight's MSE: the layer's value is inf / inf.
+    rng = np.random.default_rng(47)
+    weight = rng.laplace(size=500).reshape(4, 125) * 1e154
+    plan = plan_mixed_precision([LayerTensors("huge", weight, rng.standard_normal(256))], CANDS)
+    assert np.isnan(plan.layers[0].normalized_mse)
 
 
 def test_plan_promotes_worst_layer_first():
