@@ -1,9 +1,10 @@
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 from flintq.qtypes import KINDS, NumericType, QuantScheme, QuantizationError, fake_quantize, mse
 import flintq.selector as selector_mod
@@ -674,6 +675,86 @@ def test_clip_bounds_keep_every_step_where_the_squares_overflow(ntype):
         exact = _brute_force(row, ntype)
     # The earliest least MSE wins, also when every step's MSE is inf.
     assert (scheme.scales[0], err) == (_sweep_of(row, ntype)[np.argmin(exact)], exact.min())
+
+
+# ---------------------------------------------------------------------------
+# Adversarial rows for both rounding bounds
+# ---------------------------------------------------------------------------
+
+ROUNDING_TYPES = [INT4, NumericType("pot", 4), NumericType("flint", 4), selector_mod.INT8]
+EPS, TINY = Fraction(np.finfo(np.float64).eps), Fraction(np.finfo(np.float64).tiny)
+
+
+def _rounding_row(ntype, seed, top, steps, picks, ulps, counts, both_signs):
+    """A row of max|v| ``top`` (``counts[0]`` more copies of it), where the
+    rounding errs most: ``counts[1]`` values on threshold * scale of the
+    sweep steps ``steps``, moved by ``ulps`` ulps, for the thresholds
+    ``picks`` (wrapping, so -1 is the top one); ``counts[2]`` on grid *
+    scale there, whose error vanishes under terms of size M; ``counts[3]``
+    over the six decades below ``top``, so the by-parts sum cancels hard.
+    At most 4096 values in all."""
+    rng = np.random.default_rng(seed)
+    scales = top * np.asarray(steps) / DEFAULT_SWEEP_STEPS / ntype.max_value()
+    n_top, n_edge, n_grid, n_mixed = counts
+    edge = ntype.thresholds().take(rng.choice(picks, n_edge), mode="wrap")
+    edge *= rng.choice(scales, n_edge)
+    off = rng.choice(ulps, n_edge)
+    edge = np.where(off == 0, edge, np.nextafter(edge, np.copysign(np.inf, off)))
+    grid = ntype.grid()[rng.integers(ntype.grid().size, size=n_grid)] * rng.choice(scales, n_grid)
+    mixed = top * 10.0 ** rng.uniform(-6.0, 0.0, n_mixed)
+    row = rng.permutation(np.concatenate([np.full(n_top + 1, top), edge, grid, mixed])[:4096])
+    return row * rng.choice([-1.0, 1.0], row.size) if both_signs else np.abs(row)
+
+
+def _rounding_ratios(row, ntype):
+    """Checks both bounds at every step of the row's sweep against
+    ``mse(fake_quantize(...))``; returns, exactly, the largest |estimate -
+    MSE| / bound of ``_sweep_scores``, and the largest distance by which
+    the MSE passes the unrounded [lower, upper] of ``_clip_bounds``' own
+    derivation, over its margin ``eps (n + 16) 2 R**2 + tiny``."""
+    scales = _sweep_of(row, ntype)
+    exact = _brute_force(row, ntype)
+    [(est, bound)] = selector_mod._sweep_scores(row[None], [ntype], [scales[None]])
+    low, high = selector_mod._clip_bounds(np.array([row.max()]), np.array([row.min()]), row.size,
+                                          ntype, scales[None])
+    est, bound, low, high = est[0], bound[0], low[0], high[0]
+    assert np.all(np.abs(est - exact) <= bound)
+    assert np.all(low <= exact) and np.all(exact <= high)
+    sweep = max(abs(Fraction(e) - Fraction(m)) / Fraction(b) for e, m, b in zip(est, exact, bound))
+    grid = ntype.grid()
+    gap, reach = Fraction(float(np.max(np.diff(grid)))), Fraction(float(np.max(np.abs(grid))))
+    hi, lo, n = Fraction(float(row.max())), Fraction(float(row.min())), row.size
+    clip = []
+    for s, m in zip(scales, map(Fraction, exact)):
+        over = max(hi - Fraction(grid[-1] * s), Fraction(0))  # g * s as fake_quantize takes it
+        under = max(Fraction(grid[0] * s) - lo, Fraction(0))
+        lower, upper = (over**2 + under**2) / n, max(over, under, gap * Fraction(s) / 2) ** 2
+        margin = EPS * (n + 16) * 2 * (max(hi, -lo) + reach * Fraction(s)) ** 2 + TINY
+        clip.append(max(m - upper, lower - m) / margin)
+    return sweep, max(clip)
+
+
+@pytest.mark.parametrize("ntype", ROUNDING_TYPES, ids=lambda t: t.name)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), top=st.floats(1e-3, 1e3),
+       steps=st.lists(st.integers(20, 100), min_size=1, max_size=4),
+       picks=st.lists(st.integers(-128, 127), min_size=1, max_size=4),
+       ulps=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3),
+       counts=st.tuples(*[st.integers(0, 4095)] * 4), both_signs=st.booleans())
+# Copies of max|v|, clipped at every step below 100: each squared error is
+# the one the upper bound takes, and their mean rounds past it.
+@example(seed=0, top=1.7, steps=[100], picks=[0], ulps=[0], counts=(6, 0, 0, 0),
+         both_signs=False)
+# Values on the top threshold at step 100: each error is half the largest
+# gap, the bound's h s / 2 (the top gap of pot4 and flint4 is the largest).
+@example(seed=0, top=1.7, steps=[100], picks=[-1], ulps=[0], counts=(0, 200, 0, 0),
+         both_signs=False)
+def test_rounding_bounds_hold_on_adversarial_rows(ntype, seed, top, steps, picks, ulps, counts,
+                                                  both_signs):
+    row = _rounding_row(ntype, seed, top, steps, picks, ulps, counts, both_signs)
+    sweep, clip = _rounding_ratios(row, ntype)
+    target(float(sweep), label="sweep error / bound")
+    target(float(clip), label="clip excess / margin")
 
 
 def _count_rescored_scales(monkeypatch):
