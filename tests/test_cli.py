@@ -314,7 +314,8 @@ def test_mse_csv_without_flint_normalizes_every_row(tmp_path):
     assert len(rows) == 8
     chosen = {(r["layer"], r["tensor"]): float(r["mse"]) for r in rows if r["chosen"] == "1"}
     for r in rows:
-        assert float(r["mse_normalized_to_chosen"]) == float(r["mse"]) / chosen[r["layer"], r["tensor"]]
+        want = float(r["mse"]) / chosen[r["layer"], r["tensor"]]
+        assert float(r["mse_normalized_to_chosen"]) == want
 
 
 def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):

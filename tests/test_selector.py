@@ -742,7 +742,7 @@ def _rounding_ratios(row, ntype):
        ulps=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3),
        counts=st.tuples(*[st.integers(0, 4095)] * 4), both_signs=st.booleans())
 # Copies of max|v|, clipped at every step below 100: each squared error is
-# the one the upper bound takes, and their mean rounds past it.
+# the one the upper bound takes, and their mean can round past it.
 @example(seed=0, top=1.7, steps=[100], picks=[0], ulps=[0], counts=(6, 0, 0, 0),
          both_signs=False)
 # Values on the top threshold at step 100: each error is half the largest
@@ -852,9 +852,9 @@ def test_plan_defaults_to_all_4bit():
 
 
 def test_plan_on_huge_values_warns_nothing():
-    # The weight's power overflows at 1e154, and the suite turns the warning
-    # into an error.  With the warning suppressed, the power was inf before
-    # too, and so was the weight's MSE: the layer's value is inf / inf.
+    # The weight's power overflows at 1e154 (the suite turns a warning into
+    # an error); it is inf, as is the weight's MSE, so the layer's value is
+    # inf / inf.
     rng = np.random.default_rng(47)
     weight = rng.laplace(size=500).reshape(4, 125) * 1e154
     plan = plan_mixed_precision([LayerTensors("huge", weight, rng.standard_normal(256))], CANDS)
