@@ -126,15 +126,14 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_layer_tensors(layers: list[tensor_io.GraphLayer]) -> list[LayerTensors]:
+def _load_layer_tensors(model: str, layers: list[tensor_io.GraphLayer]) -> list[LayerTensors]:
     out = []
     for layer in layers:
+        where = f"{model}: model layer {layer.layer_id}"
         if layer.weight_path is None:
-            raise tensor_io.TensorIOError(f"{layer.layer_id}: model layer has no weight tensor")
+            raise tensor_io.TensorIOError(f"{where}: no weight tensor")
         if not layer.calibration_paths:
-            raise tensor_io.TensorIOError(
-                f"{layer.layer_id}: activation selection needs calibration tensors"
-            )
+            raise tensor_io.TensorIOError(f"{where}: activation selection needs calibration tensors")
         weight = tensor_io.load_tensor(layer.weight_path)
         acts = np.concatenate(
             [tensor_io.load_tensor(p).ravel() for p in layer.calibration_paths]
@@ -146,7 +145,7 @@ def _load_layer_tensors(layers: list[tensor_io.GraphLayer]) -> list[LayerTensors
 
 def cmd_select(args: argparse.Namespace) -> int:
     graph = tensor_io.load_model_graph(args.model)
-    layer_tensors = _load_layer_tensors(graph)
+    layer_tensors = _load_layer_tensors(args.model, graph)
     candidates = make_candidates(args.candidates, width=4, signed=True)
     plan = plan_mixed_precision(
         layer_tensors,
@@ -195,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     plan_layers = {l["layerId"]: l for l in plan["layers"]}
     missing = [l.layer_id for l in graph if l.layer_id not in plan_layers]
     if missing:
-        raise PlanMismatchError(f"plan does not cover layers: {', '.join(missing)}")
+        raise PlanMismatchError(f"{args.plan}: plan does not cover layers: {', '.join(missing)}")
 
     cfg = tensor_io.load_array_config(args.config) if args.config else sim.ArrayConfig()
     if args.dataflow:

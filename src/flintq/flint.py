@@ -5,12 +5,13 @@ position of the first 1 after the MSB (or sign bit) marks the boundary
 between the exponent and mantissa fields.  Mid-range values get the most
 mantissa bits; extreme values trade mantissa for range.
 
-Two decode paths are provided and must agree on every code:
+The layout is written once, as the flint table of ``NumericType.decoded()``
+in :mod:`flintq.qtypes`.  Two decode paths must agree on every code:
 
 * ``decode_float`` -- exponent/fraction form, as a float-style decoder
   built around a leading-zero detector would produce it.
-* ``decode_int``   -- (base integer, even exponent) form, as consumed by
-  the integer MAC datapath.
+* ``decode_int``   -- the code's row of that table: the (base integer, even
+  exponent) pair the integer MAC datapath consumes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from . import qtypes
+from .qtypes import DecodedPair
 
 MIN_WIDTH = 3
 MAX_WIDTH = 8
@@ -47,19 +49,6 @@ class FlintCode:
 
 
 @dataclass(frozen=True)
-class DecodedPair:
-    """Integer-path decode result: value = base * 2**exponent.  The fields
-    are ints, or int64 arrays holding one pair per code or MAC lane."""
-
-    base: int | np.ndarray
-    exponent: int | np.ndarray
-
-    @property
-    def value(self) -> int:
-        return self.base << self.exponent
-
-
-@dataclass(frozen=True)
 class FloatFields:
     """Float-path decode result: value = 2**exponent_value * fraction_value."""
 
@@ -81,14 +70,14 @@ def _lzd(field: int, width: int) -> int:
 
 
 @functools.cache
-def _code_table(b: int, signed: bool) -> tuple[list[float], list[int]]:
-    """The thresholds and cell codes of the b-bit flint type, the tables
-    ``qtypes.quantize`` reads, as lists: one element is found faster by
-    ``bisect`` on a list than by a numpy search."""
-    from . import qtypes  # qtypes builds its flint tables from this module
-
+def _tables(b: int, signed: bool) -> tuple[list[int], list[int], list[float], list[int]]:
+    """The bases, exponents, thresholds and cell codes of the b-bit flint
+    type, as ``qtypes`` holds them, in lists: one element is read faster
+    from a list, and found faster by ``bisect``, than from numpy."""
     t = qtypes.NumericType("flint", b, signed)
-    return qtypes._thresholds(t).tolist(), qtypes._cell_codes(t).tolist()
+    pair = t.decoded()
+    return (pair.base.tolist(), pair.exponent.tolist(),
+            t.thresholds().tolist(), qtypes._cell_codes(t).tolist())
 
 
 def encode(e: float, b: int, s: float = 1.0, signed: bool = False) -> FlintCode:
@@ -107,7 +96,7 @@ def encode(e: float, b: int, s: float = 1.0, signed: bool = False) -> FlintCode:
     if not math.isfinite(e):
         raise FlintDomainError(f"cannot encode the non-finite value {e}")
     u = e / s  # an overflow to infinity lands on an end cell, as in quantize
-    thresholds, codes = _code_table(b, signed)
+    _, _, thresholds, codes = _tables(b, signed)
     return FlintCode(codes[bisect.bisect_right(thresholds, u)], b, signed)
 
 
@@ -141,25 +130,11 @@ def decode_float(c: FlintCode) -> FloatFields:
     return fields
 
 
-def _decode_int_magnitude(bits: int, b: int) -> DecodedPair:
-    msb = bits >> (b - 1)
-    low = bits & ((1 << (b - 1)) - 1)
-    if msb == 0:
-        return DecodedPair(low, 0)
-    if low == 0:
-        return DecodedPair(1, 2 * (b - 1))
-    return DecodedPair(low << 1, 2 * _lzd(low, b - 1))
-
-
 def decode_int(c: FlintCode) -> DecodedPair:
-    """Integer-path decode to a (base, exponent) pair with base * 2**exp the value."""
-    if not c.signed:
-        return _decode_int_magnitude(c.bits, c.width)
-    sign = c.bits >> (c.width - 1)
-    pair = _decode_int_magnitude(c.bits & ((1 << (c.width - 1)) - 1), c.width - 1)
-    if sign:
-        return DecodedPair(-pair.base, pair.exponent)
-    return pair
+    """Integer-path decode to a (base, exponent) pair with base * 2**exp the
+    value: the code's row of ``NumericType("flint", ...).decoded()``."""
+    base, exponent, _, _ = _tables(c.width, c.signed)
+    return DecodedPair(base[c.bits], exponent[c.bits])
 
 
 def decode_value(c: FlintCode) -> int:

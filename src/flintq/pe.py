@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flint
-from .qtypes import QuantizationError
+from .qtypes import DecodedPair, QuantizationError
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def _exceeds(value, width: int):
     return (value < -(1 << (width - 1))) | (value > (1 << (width - 1)) - 1)
 
 
-def mac_step(state: MacState, a: flint.DecodedPair, b: flint.DecodedPair) -> MacState:
+def mac_step(state: MacState, a: DecodedPair, b: DecodedPair) -> MacState:
     """One multiply-accumulate: acc += (a.base * b.base) << (a.exp + b.exp).
 
     The accumulator stays exact; ``overflowed`` is set once the product
@@ -62,7 +61,7 @@ def mac_step(state: MacState, a: flint.DecodedPair, b: flint.DecodedPair) -> Mac
     return MacState(acc, state.acc_width, state.product_width, state.overflowed | over)
 
 
-def _split_nibbles(x, signed: bool) -> tuple[flint.DecodedPair, flint.DecodedPair]:
+def _split_nibbles(x, signed: bool) -> tuple[DecodedPair, DecodedPair]:
     lo, hi = (-128, 127) if signed else (0, 255)
     bad = (x < lo) | (x > hi)
     if bad.any() if isinstance(bad, np.ndarray) else bad:
@@ -70,7 +69,7 @@ def _split_nibbles(x, signed: bool) -> tuple[flint.DecodedPair, flint.DecodedPai
         raise QuantizationError(f"{first} outside the 8-bit {'signed' if signed else 'unsigned'} range")
     # In range, the arithmetic shift leaves the top nibble, which carries the
     # sign when signed.
-    return flint.DecodedPair(x >> 4, 4), flint.DecodedPair(x & 0xF, 0)
+    return DecodedPair(x >> 4, 4), DecodedPair(x & 0xF, 0)
 
 
 def mul8_via_four(a, b, signed: bool = True):

@@ -20,7 +20,8 @@ base * 2**(exponent - exponent_offset), the offset 0 for all but float):
 * int    -- two's complement in the low ``width`` bits.
 * pot    -- code 0 is zero, code k >= 1 is 2**(k-1); signed uses a sign
             bit in the MSB over a (width-1)-bit magnitude code.
-* flint  -- first-one encoding, see :mod:`flintq.flint`.
+* flint  -- sign bit (if signed) over a first-one magnitude code: with its
+            high bit set, 2 * the zeros before the next one is the exponent.
 * float  -- sign bit (if signed) over an exponent code and an M-bit
             mantissa; exponent code 0 denotes subnormals (no implicit
             leading one), bias -1.
@@ -34,13 +35,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import flint
-
 KINDS = ("int", "pot", "flint", "float")
 
 
 class QuantizationError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class DecodedPair:
+    """Integer-path decode result: value = base * 2**exponent.  The fields
+    are ints, or int64 arrays holding one pair per code or MAC lane."""
+
+    base: int | np.ndarray
+    exponent: int | np.ndarray
+
+    @property
+    def value(self) -> int:
+        return self.base << self.exponent
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ class NumericType:
         """Decoded value of every code word, indexed by code (length 2**width, read-only)."""
         return _code_values(self)
 
-    def decoded(self) -> flint.DecodedPair:
+    def decoded(self) -> DecodedPair:
         """The integer-path (base, exponent) pair of every code word, indexed
         by code: read-only int64 arrays, ``base * 2**(exponent -
         exponent_offset)`` the code's value."""
@@ -156,7 +168,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _decoded(t: NumericType) -> flint.DecodedPair:
+def _decoded(t: NumericType) -> DecodedPair:
     codes = np.arange(1 << t.width, dtype=np.int64)
     if t.kind == "int":  # two's complement
         base = np.where(codes >> (t.width - 1), codes - (1 << t.width), codes) if t.signed else codes
@@ -166,10 +178,14 @@ def _decoded(t: NumericType) -> flint.DecodedPair:
         k = codes & ((1 << mag_width) - 1)
         base = np.where(k == 0, 0, np.where(codes >> mag_width, -1, 1))
         exponent = np.maximum(k - 1, 0)
-    elif t.kind == "flint":
-        pairs = [flint.decode_int(c) for c in flint.all_codes(t.width, t.signed)]
-        base = np.array([p.base for p in pairs], dtype=np.int64)
-        exponent = np.array([p.exponent for p in pairs], dtype=np.int64)
+    elif t.kind == "flint":  # sign bit (if signed) over a high bit and low bits
+        mag_width = t.width - t.signed
+        high, low = (codes >> (mag_width - 1)) & 1, codes & ((1 << (mag_width - 1)) - 1)
+        zeros = mag_width - 1 - np.frexp(low)[1].astype(np.int64)  # before low's first one
+        # High bit clear: the low bits.  Set: the low bits shifted left one, 1 if all zero.
+        base = np.where(high, np.maximum(low << 1, 1), low)
+        base = np.where(codes >> mag_width, -base, base)
+        exponent = high * 2 * zeros
     else:  # float: sign bit (if signed) over the magnitude code ec * 2**M + m
         mag_width, m_bits = t.width - t.signed, t.float_split[1]
         mag = codes & ((1 << mag_width) - 1)
@@ -178,7 +194,7 @@ def _decoded(t: NumericType) -> flint.DecodedPair:
         base = np.where(ec == 0, m, m + (1 << m_bits))
         base = np.where(codes >> mag_width, -base, base)
         exponent = np.maximum(ec - 1, 0)
-    return flint.DecodedPair(_read_only(base), _read_only(exponent))
+    return DecodedPair(_read_only(base), _read_only(exponent))
 
 
 @functools.cache

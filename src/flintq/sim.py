@@ -102,7 +102,12 @@ class LayerReport:
     energy: dict = field(default_factory=dict)
 
     def total_energy(self) -> float:
-        return sum(self.energy.values())
+        """The components summed left to right: the built-in ``sum``
+        compensates its rounding from Python 3.12 on."""
+        total = 0.0
+        for cost in self.energy.values():
+            total += cost
+        return total
 
 
 # The report columns that are LayerReport fields, and its integer event

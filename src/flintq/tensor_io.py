@@ -204,7 +204,6 @@ class ConvDims:
 @dataclass
 class GraphLayer:
     layer_id: str
-    kind: str  # "gemm" | "conv"
     m: int
     n: int
     k: int
@@ -270,25 +269,25 @@ def _layer_from_json(d, path: str) -> GraphLayer:
     base_dir = os.path.dirname(os.path.abspath(path))
     join = lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p)
     return GraphLayer(
-        lid, kind, m, n, k,
+        lid, m, n, k,
         weight_path=join(weight) if weight else None,
         calibration_paths=[join(p) for p in calib] if calib else None,
     )
 
 
 def load_model_graph(path: str) -> list[GraphLayer]:
-    doc = _load_json(path)
-    layers_doc = _require(doc, ("layers",), path)["layers"] if isinstance(doc, dict) else doc
     layers = [_layer_from_json(d, path)
-              for d in _value(layers_doc, f"{path}: layers", list)]
+              for d in _value(_require(_load_json(path), ("layers",), path)["layers"],
+                              f"{path}: layers", list)]
     seen = set()
     for l in layers:
+        where = f"{path}: model layer {l.layer_id}"
         if l.layer_id in seen:
-            raise TensorIOError(f"duplicate layer id {l.layer_id!r}")
+            raise TensorIOError(f"{where}: duplicate layer id")
         seen.add(l.layer_id)
         for p in [l.weight_path, *(l.calibration_paths or [])]:
             if p and not os.path.exists(p):
-                raise TensorIOError(f"{l.layer_id}: referenced file not found: {p}")
+                raise TensorIOError(f"{where}: referenced file not found: {p}")
     return layers
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import flint, pe
-from .qtypes import KINDS, NumericType, QuantScheme, QTensor, dequantize, quantize
+from .qtypes import KINDS, DecodedPair, NumericType, QuantScheme, QTensor, dequantize, quantize
 
 UNSIGNED4_VALUES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
 SIGNED4_VALUES = sorted({0, *(v for m in (1, 2, 3, 4, 6, 8, 16) for v in (m, -m))})
@@ -109,7 +109,7 @@ def check_mac_exhaustive() -> CheckResult:
         decoded = {k: types[k].decoded() for k in KINDS}
         for ka in KINDS:
             # Codes of ``ka`` down the rows, of ``kb`` across: one lane per pair.
-            da = flint.DecodedPair(decoded[ka].base[:, None], decoded[ka].exponent[:, None])
+            da = DecodedPair(decoded[ka].base[:, None], decoded[ka].exponent[:, None])
             for kb in KINDS:
                 # The scale absorbs 2**-(offset_a + offset_b), exact in float64.
                 offset = types[ka].exponent_offset + types[kb].exponent_offset

@@ -367,6 +367,40 @@ def test_select_missing_model_exits_3(tmp_path):
     assert rc == cli.EXIT_INPUT
 
 
+def _edit_layers(path, edit):
+    with open(path) as f:
+        doc = json.load(f)
+    edit(doc["layers"])
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[1].update(layerId="fc0"), "model layer fc0: duplicate layer id"),
+    (lambda ls: ls[0].update(weightTensor="nope.bin"),
+     "model layer fc0: referenced file not found: {dir}/nope.bin"),
+    (lambda ls: ls[1].pop("weightTensor"), "model layer fc1: no weight tensor"),
+    (lambda ls: ls[1].pop("calibrationActivations"),
+     "model layer fc1: activation selection needs calibration tensors"),
+], ids=["duplicate", "not-found", "no-weight", "no-calibration"])
+def test_model_layer_error_names_the_model_and_layer(tmp_path, capsys, edit, message):
+    model = make_model(tmp_path)
+    _edit_layers(model, edit)
+    assert cli.main(["select", model, "--out", str(tmp_path / "p.json")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {model}: {message.format(dir=tmp_path)}\n"
+
+
+def test_model_as_a_bare_list_exits_3(tmp_path, capsys):
+    model = make_model(tmp_path)
+    with open(model) as f:
+        layers = json.load(f)["layers"]
+    with open(model, "w") as f:
+        json.dump(layers, f)
+    assert cli.main(["select", model, "--out", str(tmp_path / "p.json")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: expected a JSON object, got [") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -467,6 +501,36 @@ def test_simulate_plan_mismatch_exits_5(tmp_path):
     tensor_io.save_plan(plan, doc)
     rc = cli.main(["simulate", model, plan, "--out", str(tmp_path / "r")])
     assert rc == cli.EXIT_PLAN_MISMATCH
+
+
+def test_plan_mismatch_error_names_the_plan(tmp_path, capsys):
+    rc, model, plan = run_select(tmp_path)
+    _edit_layers(plan, lambda ls: ls.pop())
+    capsys.readouterr()
+    assert cli.main(["simulate", model, plan, "--out", str(tmp_path / "r")]) == cli.EXIT_PLAN_MISMATCH
+    assert capsys.readouterr().err == f"error: {plan}: plan does not cover layers: fc1\n"
+
+
+def test_energy_total_sums_its_components_left_to_right(tmp_path):
+    # The built-in sum of these components reads 1772.6000000000001 on
+    # Python 3.12 and later, and 1772.6 summed left to right.
+    model, plan, cfg = (str(tmp_path / name) for name in ("m.json", "p.json", "c.json"))
+    int4 = {"ntype": {"kind": "int", "width": 4, "signed": True}}
+    with open(model, "w") as f:
+        json.dump({"layers": [{"layerId": "g", "M": 7, "N": 9, "K": 11}]}, f)
+    tensor_io.save_plan(plan, {"layers": [{"layerId": "g", "width": 4, "weightType": int4,
+                                           "activationType": int4}]})
+    with open(cfg, "w") as f:
+        json.dump({"energy": {"dram_per_bit": 0.1, "sram_per_bit": 0.1,
+                              "static_per_cycle": 0.7, "decode": 0.1}}, f)
+    out = str(tmp_path / "r")
+    assert cli.main(["simulate", model, plan, "--config", cfg, "--out", out]) == 0
+    with open(out + ".json") as f:
+        report = json.load(f)
+    for row in (report["layers"][0], report["totals"]):
+        parts = [row[f"energy_{k}"] for k in sim.ENERGY_KEYS]
+        assert parts == [97.3, 171.20000000000002, 664.0, 840.1]
+        assert row["energy_total"] == ((parts[0] + parts[1]) + parts[2]) + parts[3] == 1772.6
 
 
 def test_simulate_bad_config_exits_4(tmp_path):

@@ -296,8 +296,8 @@ def test_fake_quantize_is_quantize_then_dequantize_bit_for_bit(ntype):
 
 
 def test_rounding_rules_are_off_the_quantize_path(monkeypatch):
-    # With the tables built, quantize and fake_quantize call neither
-    # flint.encode nor the flint decode that the tables are built from.
+    # With the tables built, quantize and fake_quantize call neither of
+    # flint's scalar functions, which read the same tables one code at a time.
     types = [NumericType(k, w, s) for k in KINDS for w in (3, 4, 8) for s in (False, True)]
     for ntype in types:
         quantize(np.zeros(1), per_tensor(ntype, 1.0))
