@@ -3,8 +3,9 @@ an analytic systolic-array performance model."""
 
 __version__ = "0.1.0"
 
-from .flint import DecodedPair, FlintCode, FloatFields  # noqa: F401
+from .flint import FlintCode, FloatFields  # noqa: F401
 from .qtypes import (  # noqa: F401
+    DecodedPair,
     NumericType,
     QTensor,
     QuantScheme,

@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, flint, sim, tensor_io, verify
-from .qtypes import KINDS, NumericType, QuantScheme, QuantizationError, quantize
+from . import __version__, sim, tensor_io, verify
+from .qtypes import KINDS, MAX_WIDTH, MIN_WIDTH, NumericType, QuantScheme, quantize
 from .selector import (
     DEFAULT_CANDIDATES,
     LayerTensors,
@@ -138,8 +138,7 @@ def _load_layer_tensors(model: str, layers: list[tensor_io.GraphLayer]) -> list[
         acts = np.concatenate(
             [tensor_io.load_tensor(p).ravel() for p in layer.calibration_paths]
         )
-        axis = 0 if weight.ndim > 1 else None
-        out.append(LayerTensors(layer.layer_id, weight, acts, weight_axis=axis))
+        out.append(LayerTensors(layer.layer_id, weight, acts))
     return out
 
 
@@ -239,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ntype_flags = argparse.ArgumentParser(add_help=False)  # tables and quantize
     ntype_flags.add_argument("--type", required=True, choices=KINDS)
-    ntype_flags.add_argument("--bits", type=_checked(int, lambda width: 3 <= width <= 8,
-                                                     "a width from 3 to 8"), default=4)
+    ntype_flags.add_argument("--bits", default=4,
+                             type=_checked(int, lambda width: MIN_WIDTH <= width <= MAX_WIDTH,
+                                           f"a width from {MIN_WIDTH} to {MAX_WIDTH}"))
     ntype_flags.add_argument("--signed", action="store_true")
     ntype_flags.add_argument("--float-split", help="E,M for float types",
                              type=_checked(lambda text: tuple(int(f) for f in text.split(",")),
@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except PlanMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN_MISMATCH
-    except (QuantizationError, flint.FlintDomainError, sim.SimConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,12 +6,16 @@ between the exponent and mantissa fields.  Mid-range values get the most
 mantissa bits; extreme values trade mantissa for range.
 
 The layout is written once, as the flint table of ``NumericType.decoded()``
-in :mod:`flintq.qtypes`.  Two decode paths must agree on every code:
+in :mod:`flintq.qtypes`.  The scalar entry points read that type's tables:
 
-* ``decode_float`` -- exponent/fraction form, as a float-style decoder
-  built around a leading-zero detector would produce it.
-* ``decode_int``   -- the code's row of that table: the (base integer, even
+* ``decode_int`` -- the code's row of the table: the (base integer, even
   exponent) pair the integer MAC datapath consumes.
+* ``encode``     -- the code ``qtypes.quantize`` writes for one value.
+
+``decode_float`` decodes to exponent/fraction form, as a float-style
+decoder built around a leading-zero detector would, without reading
+``qtypes``; ``flintq verify`` checks it against ``code_values()`` on every
+code of widths 3-8.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qtypes
-from .qtypes import DecodedPair
-
-MIN_WIDTH = 3
-MAX_WIDTH = 8
+from .qtypes import MAX_WIDTH, MIN_WIDTH, DecodedPair
 
 
 class FlintDomainError(ValueError):
@@ -135,18 +136,3 @@ def decode_int(c: FlintCode) -> DecodedPair:
     value: the code's row of ``NumericType("flint", ...).decoded()``."""
     base, exponent, _, _ = _tables(c.width, c.signed)
     return DecodedPair(base[c.bits], exponent[c.bits])
-
-
-def decode_value(c: FlintCode) -> int:
-    """Exact decoded value via the integer path."""
-    return decode_int(c).value
-
-
-def all_codes(b: int, signed: bool = False):
-    """Every well-formed code of the given width/signedness."""
-    return [FlintCode(bits, b, signed) for bits in range(1 << b)]
-
-
-def enumerate_values(b: int, signed: bool = False) -> list[int]:
-    """Strictly increasing list of representable values (signed: +/-0 collapsed)."""
-    return sorted({decode_value(c) for c in all_codes(b, signed)})

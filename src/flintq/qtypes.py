@@ -36,6 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 KINDS = ("int", "pot", "flint", "float")
+MIN_WIDTH = 3  # code widths every kind takes, in bits
+MAX_WIDTH = 8
 
 
 class QuantizationError(ValueError):
@@ -65,8 +67,8 @@ class NumericType:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise QuantizationError(f"unknown kind {self.kind!r}")
-        if not 3 <= self.width <= 8:
-            raise QuantizationError(f"width must be in [3, 8], got {self.width}")
+        if not MIN_WIDTH <= self.width <= MAX_WIDTH:
+            raise QuantizationError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {self.width}")
         if self.kind == "float":
             split = self.float_split or default_float_split(self.width, self.signed)
             e, m = split
@@ -172,28 +174,26 @@ def _decoded(t: NumericType) -> DecodedPair:
     codes = np.arange(1 << t.width, dtype=np.int64)
     if t.kind == "int":  # two's complement
         base = np.where(codes >> (t.width - 1), codes - (1 << t.width), codes) if t.signed else codes
-        exponent = np.zeros_like(codes)
-    elif t.kind == "pot":  # sign bit (if signed) over the magnitude code k: 2**(k-1)
-        mag_width = t.width - t.signed
-        k = codes & ((1 << mag_width) - 1)
-        base = np.where(k == 0, 0, np.where(codes >> mag_width, -1, 1))
-        exponent = np.maximum(k - 1, 0)
-    elif t.kind == "flint":  # sign bit (if signed) over a high bit and low bits
-        mag_width = t.width - t.signed
-        high, low = (codes >> (mag_width - 1)) & 1, codes & ((1 << (mag_width - 1)) - 1)
+        return DecodedPair(_read_only(base), _read_only(np.zeros_like(codes)))
+    # The other kinds: a sign bit (if signed) over a magnitude code.
+    mag_width = t.width - t.signed
+    mag = codes & ((1 << mag_width) - 1)
+    if t.kind == "pot":  # magnitude code k: 2**(k-1)
+        base = np.minimum(mag, 1)
+        exponent = np.maximum(mag - 1, 0)
+    elif t.kind == "flint":  # a high bit over low bits
+        high, low = mag >> (mag_width - 1), mag & ((1 << (mag_width - 1)) - 1)
         zeros = mag_width - 1 - np.frexp(low)[1].astype(np.int64)  # before low's first one
         # High bit clear: the low bits.  Set: the low bits shifted left one, 1 if all zero.
         base = np.where(high, np.maximum(low << 1, 1), low)
-        base = np.where(codes >> mag_width, -base, base)
         exponent = high * 2 * zeros
-    else:  # float: sign bit (if signed) over the magnitude code ec * 2**M + m
-        mag_width, m_bits = t.width - t.signed, t.float_split[1]
-        mag = codes & ((1 << mag_width) - 1)
+    else:  # float: ec * 2**M + m, exponent code ec over an M-bit mantissa m
+        m_bits = t.float_split[1]
         ec, m = mag >> m_bits, mag & ((1 << m_bits) - 1)
         # Exponent code 0 is subnormal: no leading one, the exponent of code 1.
         base = np.where(ec == 0, m, m + (1 << m_bits))
-        base = np.where(codes >> mag_width, -base, base)
         exponent = np.maximum(ec - 1, 0)
+    base = np.where(codes >> mag_width, -base, base)
     return DecodedPair(_read_only(base), _read_only(exponent))
 
 

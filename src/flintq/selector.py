@@ -396,7 +396,6 @@ class LayerTensors:
     layer_id: str
     weight: np.ndarray
     activation: np.ndarray
-    weight_axis: int | None = 0  # per-channel weights by default
 
 
 @dataclass
@@ -478,7 +477,8 @@ def _select_layer(
     if float(np.min(layer.activation)) >= 0:
         # Post-ReLU style tensors get the unsigned variants.
         act_candidates = [NumericType(c.kind, c.width, signed=False) for c in candidates]
-    w_sel = select_type(layer.weight, candidates, layer.weight_axis)
+    # Per-channel along axis 0 for a weight of 2 or more dimensions, per-tensor for a 1-D one.
+    w_sel = select_type(layer.weight, candidates, 0 if np.ndim(layer.weight) > 1 else None)
     a_sel = select_type(layer.activation, act_candidates)
     nmse = _normalized_mse(layer.weight, w_sel.mse_value) + _normalized_mse(
         layer.activation, a_sel.mse_value

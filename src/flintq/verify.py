@@ -1,24 +1,44 @@
 """Exhaustive self-checks over the codec and the PE datapath.
 
-These are the same oracles the test suite runs; the CLI exposes them as a
-first-class command so CI and reviewers exercise identical checks.
+The checks read the code tables only through ``NumericType`` and
+``quantize``/``dequantize``, the path every command takes.  From ``flint``
+they take only the paper's worked-example encoder and ``decode_float``, the
+bit-level decoder that does not read ``qtypes``.  These are the same
+oracles the test suite runs; the CLI exposes them as a first-class command
+so CI and reviewers exercise identical checks.
 """
 
 from __future__ import annotations
 
 import io
-import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import flint, pe
-from .qtypes import KINDS, DecodedPair, NumericType, QuantScheme, QTensor, dequantize, quantize
+from . import pe, tensor_io
+from .flint import FlintCode, decode_float, encode
+from .qtypes import (KINDS, MAX_WIDTH, MIN_WIDTH, DecodedPair, NumericType, QuantScheme,
+                     dequantize, quantize)
 
-UNSIGNED4_VALUES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
-SIGNED4_VALUES = sorted({0, *(v for m in (1, 2, 3, 4, 6, 8, 16) for v in (m, -m))})
+# Value of every 4-bit int, pot and flint code, by code, keyed by kind and signedness.
+VALUES4_BY_CODE = {
+    "int": {
+        False: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        True: [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
+    },
+    "pot": {
+        False: [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384],
+        True: [0, 1, 2, 4, 8, 16, 32, 64, 0, -1, -2, -4, -8, -16, -32, -64],
+    },
+    "flint": {
+        False: [0, 1, 2, 3, 4, 5, 6, 7, 64, 32, 16, 24, 8, 10, 12, 14],
+        True: [0, 1, 2, 3, 16, 8, 4, 6, 0, -1, -2, -3, -16, -8, -4, -6],
+    },
+}
 # Table of (code, base, exponent) rows for the unsigned 4-bit integer-path decode.
 INT_DECODE_ROWS = (
     [(c, c, 0) for c in range(8)]
@@ -26,15 +46,6 @@ INT_DECODE_ROWS = (
     + [(0b1010 | m, 4 + 2 * m, 2) for m in range(2)]
     + [(0b1001, 2, 4), (0b1000, 1, 6)]
 )
-# Value of every 4-bit int and pot code, by code, keyed by signedness.
-INT4_BY_CODE = {
-    False: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
-    True: [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1],
-}
-POT4_BY_CODE = {
-    False: [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384],
-    True: [0, 1, 2, 4, 8, 16, 32, 64, 0, -1, -2, -4, -8, -16, -32, -64],
-}
 
 
 @dataclass
@@ -45,20 +56,7 @@ class CheckResult:
 
 
 def check_golden_tables() -> CheckResult:
-    vals = sorted(flint.decode_value(c) for c in flint.all_codes(4))
-    if vals != UNSIGNED4_VALUES:
-        return CheckResult("golden-tables", False, f"unsigned 4-bit values {vals}")
-    for code, base, exp in INT_DECODE_ROWS:
-        pair = flint.decode_int(flint.FlintCode(code, 4))
-        if (pair.base, pair.exponent) != (base, exp):
-            return CheckResult(
-                "golden-tables", False,
-                f"code {code:04b}: got ({pair.base},{pair.exponent}), want ({base},{exp})",
-            )
-    signed = flint.enumerate_values(4, signed=True)
-    if signed != SIGNED4_VALUES:
-        return CheckResult("golden-tables", False, f"signed 4-bit values {signed}")
-    for kind, by_code in (("int", INT4_BY_CODE), ("pot", POT4_BY_CODE)):
+    for kind, by_code in VALUES4_BY_CODE.items():
         for is_signed, want in by_code.items():
             t = NumericType(kind, 4, is_signed)
             pair = t.decoded()
@@ -66,37 +64,53 @@ def check_golden_tables() -> CheckResult:
             if (t.code_values().tobytes() != np.array(want, dtype=np.float64).tobytes()
                     or (pair.base << pair.exponent).tolist() != want):
                 return CheckResult("golden-tables", False, f"{t.name} values by code")
+    flint4 = NumericType("flint", 4, False).decoded()
+    for code, base, exp in INT_DECODE_ROWS:
+        got_base, got_exp = flint4.base[code], flint4.exponent[code]
+        if (got_base, got_exp) != (base, exp):
+            return CheckResult(
+                "golden-tables", False,
+                f"code {code:04b}: got ({got_base},{got_exp}), want ({base},{exp})",
+            )
     return CheckResult("golden-tables", True)
 
 
 def check_encoder_example() -> CheckResult:
-    c = flint.encode(11, 4)
-    ok = c.bits == 0b1110 and flint.decode_value(c) == 12
-    return CheckResult("encoder-example", ok, f"encode(11) -> {c.bits:04b} = {flint.decode_value(c)}")
+    c = encode(11, 4)
+    value = int(NumericType("flint", 4, False).code_values()[c.bits])
+    return CheckResult("encoder-example", c.bits == 0b1110 and value == 12,
+                       f"encode(11) -> {c.bits:04b} = {value}")
 
 
 def check_decoder_equivalence() -> CheckResult:
-    for b in range(flint.MIN_WIDTH, flint.MAX_WIDTH + 1):
+    for b in range(MIN_WIDTH, MAX_WIDTH + 1):
         for signed in (False, True):
-            for c in flint.all_codes(b, signed):
-                if flint.decode_float(c).value != flint.decode_int(c).value:
+            values = NumericType("flint", b, signed).code_values().tolist()
+            for bits, value in enumerate(values):
+                if decode_float(FlintCode(bits, b, signed)).value != value:
                     return CheckResult(
                         "decoder-equivalence", False,
-                        f"width {b} signed={signed} code {c.bits:0{b}b}",
+                        f"width {b} signed={signed} code {bits:0{b}b}",
                     )
     return CheckResult("decoder-equivalence", True)
 
 
 def check_roundtrip() -> CheckResult:
-    for b in range(flint.MIN_WIDTH, flint.MAX_WIDTH + 1):
-        for signed in (False, True):
-            for v in flint.enumerate_values(b, signed):
+    """Every grid value of every type, times a scale, quantizes back to itself."""
+    for kind in KINDS:
+        for b in range(MIN_WIDTH, MAX_WIDTH + 1):
+            for signed in (False, True):
+                t = NumericType(kind, b, signed)
+                grid = t.grid()
                 for s in (0.25, 1.0, 3.0):
-                    got = flint.decode_value(flint.encode(v * s, b, s, signed))
-                    if got != v:
+                    scaled = grid * s
+                    got = dequantize(quantize(scaled, QuantScheme(t, np.array([s]))))
+                    bad = np.flatnonzero(got != scaled)
+                    if bad.size:
+                        i = bad[0]
                         return CheckResult(
                             "encode-roundtrip", False,
-                            f"width {b} signed={signed}: {v} -> {got} at scale {s}",
+                            f"{t.name}: {grid[i]} -> {got[i] / s} at scale {s}",
                         )
     return CheckResult("encode-roundtrip", True)
 
@@ -147,9 +161,6 @@ def check_mul8_exhaustive() -> CheckResult:
 
 
 def check_serialization_roundtrip() -> CheckResult:
-    from . import tensor_io
-    import tempfile, os
-
     rng = np.random.default_rng(7)
     t = rng.normal(size=(5, 12))
     with tempfile.TemporaryDirectory() as d:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from flintq import cli, pe, sim, tensor_io, verify
+from flintq import cli, pe, qtypes, sim, tensor_io, verify
 from flintq.qtypes import KINDS, NumericType, dequantize
 
 TABLE_UNSIGNED4 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64]
@@ -664,3 +664,21 @@ def test_verify_mac_fail_names_the_pair(monkeypatch, capsys):
     monkeypatch.setattr(pe, "mac_step", off_by_one)
     _verify_fails_with(capsys, verify.check_mac_exhaustive, "mac-exhaustive",
                        "potxpot signed=True codes (15,15)")
+
+
+def test_verify_roundtrip_fail_names_a_corrupt_lookup(monkeypatch, capsys):
+    # One bucket of float4e2m1's cell lookup, the one that holds 2.0, points
+    # at the next cell up: quantize, and only quantize, now moves 2.0 to 3.0.
+    bad = NumericType("float", 4, True)
+    real = qtypes._bucket_cells
+
+    def corrupt(t):
+        cells, shift, lo, hi = real(t)
+        if t == bad:
+            cells = cells.copy()
+            cells[(np.float64(2.0).view(np.int64) >> shift) - lo] += 1
+        return cells, shift, lo, hi
+
+    monkeypatch.setattr(qtypes, "_bucket_cells", corrupt)
+    assert dequantize(qtypes.quantize(np.array([2.0]), qtypes.QuantScheme(bad, 1.0)))[0] == 3.0
+    _verify_fails_with(capsys, verify.check_roundtrip, "encode-roundtrip", bad.name)

@@ -127,7 +127,7 @@ def test_first_one_encoder_matches_encode_on_every_integer(b, signed):
 def test_encode_worked_example():
     c = flint.encode(11, 4, 1.0)
     assert c.bits == 0b1110
-    assert flint.decode_value(c) == 12
+    assert flint.decode_int(c).value == 12
 
 
 def test_encode_zero_is_all_zero_code():
@@ -139,22 +139,22 @@ def test_encode_zero_is_all_zero_code():
 def test_encode_mantissa_overflow_carries():
     # 15 is a half-way tie between 14 and 16; away from zero is 16, the
     # first code of the next interval.
-    assert flint.decode_value(flint.encode(15, 4)) == 16
+    assert flint.decode_int(flint.encode(15, 4)).value == 16
 
 
 def test_encode_clamps_to_range():
-    assert flint.decode_value(flint.encode(1e9, 4)) == 64
-    assert flint.decode_value(flint.encode(-1e9, 4, 1.0, signed=True)) == -16
-    assert flint.decode_value(flint.encode(-5.0, 4)) == 0  # unsigned floors at 0
+    assert flint.decode_int(flint.encode(1e9, 4)).value == 64
+    assert flint.decode_int(flint.encode(-1e9, 4, 1.0, signed=True)).value == -16
+    assert flint.decode_int(flint.encode(-5.0, 4)).value == 0  # unsigned floors at 0
 
 
 def test_encode_takes_the_nearest_value_of_a_real_input():
     # Not the integer's: 8.6 rounds to 9, whose tie between 8 and 10 would
     # go to 10, but 8.6 is nearer 8; 47.6 is nearer 32 than 64.
-    assert flint.decode_value(flint.encode(8.6, 4)) == 8
-    assert flint.decode_value(flint.encode(47.6, 4)) == 32
-    assert flint.decode_value(flint.encode(-4.9, 4, 0.5, signed=True)) == -8
-    assert flint.decode_value(flint.encode(9.0, 4)) == 10  # a tie goes away from zero
+    assert flint.decode_int(flint.encode(8.6, 4)).value == 8
+    assert flint.decode_int(flint.encode(47.6, 4)).value == 32
+    assert flint.decode_int(flint.encode(-4.9, 4, 0.5, signed=True)).value == -8
+    assert flint.decode_int(flint.encode(9.0, 4)).value == 10  # a tie goes away from zero
 
 
 def test_encode_rejects_bad_scale():
@@ -176,8 +176,8 @@ def test_encode_rejects_non_finite_values_and_bad_widths(e, b):
 
 
 def test_encode_overflowing_quotient_lands_on_the_end_code():
-    assert flint.decode_value(flint.encode(1e308, 4, 1e-300)) == 64
-    assert flint.decode_value(flint.encode(-1e308, 4, 1e-300, signed=True)) == -16
+    assert flint.decode_int(flint.encode(1e308, 4, 1e-300)).value == 64
+    assert flint.decode_int(flint.encode(-1e308, 4, 1e-300, signed=True)).value == -16
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_decode_float_zero():
 
 
 def test_decode_float_all_codes_match_table():
-    vals = sorted(flint.decode_float(c).value for c in flint.all_codes(4))
+    vals = sorted(flint.decode_float(flint.FlintCode(bits, 4)).value for bits in range(16))
     assert vals == TABLE_UNSIGNED4
 
 
@@ -211,13 +211,13 @@ def test_decode_int_examples():
 def test_decoders_agree_on_all_codes():
     for b in range(3, 9):
         for signed in (False, True):
-            for c in flint.all_codes(b, signed):
+            for c in (flint.FlintCode(bits, b, signed) for bits in range(1 << b)):
                 assert flint.decode_float(c).value == flint.decode_int(c).value
 
 
 def test_decoded_exponent_is_even_and_bounded():
     for b in range(3, 9):
-        for c in flint.all_codes(b):
+        for c in (flint.FlintCode(bits, b) for bits in range(1 << b)):
             pair = flint.decode_int(c)
             assert pair.exponent % 2 == 0
             assert 0 <= pair.exponent <= 2 * (b - 1)
@@ -228,21 +228,21 @@ def test_decoded_exponent_is_even_and_bounded():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_unsigned4():
-    assert flint.enumerate_values(4) == TABLE_UNSIGNED4
+    assert NumericType("flint", 4, False).grid().tolist() == TABLE_UNSIGNED4
 
 
 def test_enumerate_signed4():
     want = sorted({0, *(s * m for m in (1, 2, 3, 4, 6, 8, 16) for s in (1, -1))})
-    assert flint.enumerate_values(4, signed=True) == want
+    assert NumericType("flint", 4, True).grid().tolist() == want
 
 
 def test_enumerate_unsigned3():
-    assert flint.enumerate_values(3) == [0, 1, 2, 3, 4, 6, 8, 16]
+    assert NumericType("flint", 3, False).grid().tolist() == [0, 1, 2, 3, 4, 6, 8, 16]
 
 
 @pytest.mark.parametrize("b", range(3, 9))
 def test_max_value_is_power_of_two_bound(b):
-    assert flint.enumerate_values(b)[-1] == 1 << (2 * b - 2)
+    assert NumericType("flint", b, False).grid()[-1] == 1 << (2 * b - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +256,16 @@ def test_max_value_is_power_of_two_bound(b):
     idx=st.integers(0, 10**6),
 )
 def test_roundtrip_representable(b, signed, s, idx):
-    values = flint.enumerate_values(b, signed)
+    values = NumericType("flint", b, signed).grid().tolist()
     v = values[idx % len(values)]
-    assert flint.decode_value(flint.encode(v * s, b, s, signed)) == v
+    assert flint.decode_int(flint.encode(v * s, b, s, signed)).value == v
 
 
 @given(b=st.integers(3, 8))
 def test_monotone_in_magnitude(b):
     prev = -1
     for e in range(0, (1 << (2 * b - 2)) + 1):
-        v = flint.decode_value(flint.encode(e, b))
+        v = flint.decode_int(flint.encode(e, b)).value
         assert v >= prev
         prev = v
 
@@ -279,10 +279,10 @@ def test_nearest_value_fidelity_with_golden_ties(signed):
     with open(os.path.join(HERE, "data", "flint4_ties.json")) as f:
         golden = json.load(f)["signed" if signed else "unsigned"]
     ties = {t["input"]: t for t in golden}
-    grid = flint.enumerate_values(4, signed)
+    grid = NumericType("flint", 4, signed).grid().astype(int).tolist()
     lo = -16 if signed else 0
     for e in range(lo, grid[-1] + 1):
-        got = flint.decode_value(flint.encode(e, 4, 1.0, signed))
+        got = flint.decode_int(flint.encode(e, 4, 1.0, signed)).value
         best = _nearest(grid, e)
         if got == best:
             continue
@@ -299,7 +299,7 @@ def test_golden_tie_file_matches_oracle():
     with open(os.path.join(HERE, "data", "flint4_ties.json")) as f:
         golden = json.load(f)
     for signed, key in ((False, "unsigned"), (True, "signed")):
-        grid = flint.enumerate_values(4, signed)
+        grid = NumericType("flint", 4, signed).grid().astype(int).tolist()
         lo = -16 if signed else 0
         fresh = []
         for e in range(lo, grid[-1] + 1):
@@ -308,6 +308,6 @@ def test_golden_tie_file_matches_oracle():
                 fresh.append({
                     "input": e,
                     "nearest": sorted([dists[0][1], dists[1][1]]),
-                    "encoded": flint.decode_value(flint.encode(e, 4, 1.0, signed)),
+                    "encoded": flint.decode_int(flint.encode(e, 4, 1.0, signed)).value,
                 })
         assert fresh == golden[key]

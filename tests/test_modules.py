@@ -12,11 +12,16 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 
 
 def _imports(module: str) -> set[str]:
-    """The flintq modules ``module`` imports, at module level or inside a
-    function; a name that is not a module (``from . import __version__``)
-    stands for the package's ``__init__``."""
+    """The flintq modules ``module`` imports."""
+    return _imports_in((SRC / f"{module}.py").read_text())
+
+
+def _imports_in(source: str) -> set[str]:
+    """The flintq modules a package module's ``source`` imports, at module
+    level or inside a function; a name that is not a module (``from .
+    import __version__``) stands for the package's ``__init__``."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             package, _, inner = (node.module or "").partition(".")
             if node.level == 0 and package != "flintq":
@@ -35,10 +40,10 @@ def _imports(module: str) -> set[str]:
 
 
 def test_the_graph_sees_imports_at_every_level():
-    # cli imports at module level, verify imports tensor_io inside a function.
-    assert _imports("cli") >= {"__init__", "flint", "qtypes", "selector", "sim", "tensor_io",
-                               "verify"}
-    assert "tensor_io" in _imports("verify")
+    # cli imports at module level; an import inside a function counts too.
+    assert _imports("cli") >= {"__init__", "qtypes", "selector", "sim", "tensor_io", "verify"}
+    assert _imports_in("def f():\n    from . import tensor_io\n    import flintq.pe\n") == {
+        "tensor_io", "pe"}
 
 
 def test_qtypes_imports_no_flintq_module():

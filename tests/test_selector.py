@@ -861,6 +861,21 @@ def test_plan_on_huge_values_warns_nothing():
     assert np.isnan(plan.layers[0].normalized_mse)
 
 
+def test_plan_takes_weights_per_channel_along_axis_0_and_1d_weights_per_tensor():
+    # At 4 bits and once promoted to 8: a 2-D weight gets one scale per row,
+    # a 1-D weight (no channels) one scale in all.
+    rng = np.random.default_rng(3)
+    acts = np.abs(rng.normal(size=256))
+    layers = [LayerTensors("fc", rng.laplace(size=(8, 16)), acts),
+              LayerTensors("bias", rng.laplace(size=64), acts)]
+    fc, bias = plan_mixed_precision(layers, CANDS, threshold=0.0).layers
+    assert fc.width == bias.width == 8
+    for sel in (fc.weight_4bit, fc.weight):
+        assert sel.scheme.axis == 0 and sel.scheme.scales.size == 8
+    for sel in (bias.weight_4bit, bias.weight):
+        assert sel.scheme.axis is None and sel.scheme.scales.size == 1
+
+
 def test_plan_promotes_worst_layer_first():
     layers = _layers()
     plan = plan_mixed_precision(layers, CANDS, threshold=0.0, max_promotions=1)
